@@ -130,31 +130,69 @@ func (f *FrozenNaiveBayes) ClassifyIndex(v relational.Value) (int, bool) {
 	if !f.trained {
 		return -1, false
 	}
-	L := len(f.labels)
 	sp := f.scratch.Get().(*[]float64)
 	scores := *sp
 	copy(scores, f.logPrior)
 	for gid := range f.dict.TrigramIDs(v.Str()) {
-		if gid != tokenize.NoID && int(gid) < f.tableGrams {
-			row := f.lik[int(gid)*L : int(gid)*L+L]
-			for i := range scores {
-				scores[i] += row[i]
-			}
-		} else {
-			for i, o := range f.oov {
-				scores[i] += o
-			}
-		}
+		f.addGram(scores, gid)
 	}
+	best := argmax(scores)
+	f.scratch.Put(sp)
+	return best, true
+}
+
+// ClassifyIDs is ClassifyIndex over a value already tokenized into the
+// classifier's dictionary (see Dict): ids are the value's trigram IDs
+// in TrigramSeq order. Any ID outside the likelihood table — NoID, or
+// a caller's own out-of-vocabulary numbering from the dictionary's end
+// — scores through the OOV bucket, exactly as the unknown gram it
+// stands for would. The accumulation order is ClassifyIndex's, so the
+// two agree bit-for-bit.
+func (f *FrozenNaiveBayes) ClassifyIDs(ids []uint32) (int, bool) {
+	if !f.trained {
+		return -1, false
+	}
+	sp := f.scratch.Get().(*[]float64)
+	scores := *sp
+	copy(scores, f.logPrior)
+	for _, gid := range ids {
+		f.addGram(scores, gid)
+	}
+	best := argmax(scores)
+	f.scratch.Put(sp)
+	return best, true
+}
+
+// addGram adds one gram's per-label log-likelihoods to scores: its
+// table row when gid is inside the table, the OOV bucket otherwise.
+func (f *FrozenNaiveBayes) addGram(scores []float64, gid uint32) {
+	if gid != tokenize.NoID && int(gid) < f.tableGrams {
+		L := len(f.labels)
+		row := f.lik[int(gid)*L : int(gid)*L+L]
+		for i := range scores {
+			scores[i] += row[i]
+		}
+		return
+	}
+	for i, o := range f.oov {
+		scores[i] += o
+	}
+}
+
+// argmax returns the index of the first maximal score.
+func argmax(scores []float64) int {
 	best, bestScore := -1, math.Inf(-1)
 	for i, s := range scores {
 		if s > bestScore {
 			best, bestScore = i, s
 		}
 	}
-	f.scratch.Put(sp)
-	return best, true
+	return best
 }
+
+// Dict returns the dictionary the likelihood table is keyed by — the
+// ID space ClassifyIDs expects.
+func (f *FrozenNaiveBayes) Dict() *tokenize.Dict { return f.dict }
 
 // FrozenGaussian is the compiled form of Gaussian: per-label
 // (log prior − log normalizer), mean, and floored 2·variance laid out

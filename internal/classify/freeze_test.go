@@ -186,3 +186,53 @@ func BenchmarkGaussianClassifyFrozen(b *testing.B) {
 		}
 	}
 }
+
+// TestClassifyIDsAgreesWithClassifyIndex: classifying a value's
+// pre-tokenized gram IDs — known grams by dictionary ID, unknown ones
+// either as NoID or under an out-of-vocabulary numbering from the
+// dictionary's end, in first-occurrence order — returns exactly what
+// ClassifyIndex returns on the value itself.
+func TestClassifyIDsAgreesWithClassifyIndex(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		labels := []string{"book.title", "music.title", "inv.name"}
+		live := NewNaiveBayes()
+		for i, n := 0, rng.Intn(60); i < n; i++ {
+			live.Train(randomValue(rng), labels[rng.Intn(len(labels))])
+		}
+		dict := tokenize.NewDict()
+		frozen := live.Freeze(dict)
+		dict.Freeze()
+		if frozen.Dict() != dict {
+			return false
+		}
+		oov := map[string]uint32{}
+		for probe := 0; probe < 40; probe++ {
+			v := randomValue(rng)
+			var noID, numbered []uint32
+			for g := range tokenize.TrigramSeq(v.Str()) {
+				id, ok := dict.Lookup(g)
+				noID = append(noID, id)
+				if !ok {
+					if id, ok = oov[g]; !ok {
+						id = uint32(dict.Len() + len(oov))
+						oov[g] = id
+					}
+				}
+				numbered = append(numbered, id)
+			}
+			want, wantOK := frozen.ClassifyIndex(v)
+			for _, ids := range [][]uint32{noID, numbered} {
+				got, gotOK := frozen.ClassifyIDs(ids)
+				if got != want || gotOK != wantOK {
+					t.Logf("%v: ClassifyIDs (%d,%v) != ClassifyIndex (%d,%v)", v, got, gotOK, want, wantOK)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}

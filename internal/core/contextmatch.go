@@ -83,6 +83,11 @@ type runState struct {
 	eng   *match.Engine
 	feats *match.TargetFeatures
 	fcls  *frozenTargetClassifiers
+	// proj is the request's one tokenization of the source, keyed into
+	// the target's dictionary (nil for an unindexed target): binds
+	// compile per-row segments from it and the target tagger classifies
+	// from it, so neither re-tokenizes a source column.
+	proj *match.SourceProjection
 	// cols is how many goroutines each table's source-side work (column
 	// feature extraction, normalization, candidate-view scoring) may
 	// fan across: the share of opt.Parallelism left over after the
@@ -90,14 +95,44 @@ type runState struct {
 	cols int
 }
 
-// newRunState binds a context to the pinned artifacts of a prepared
-// target; all resolution and training already happened in
-// PrepareTarget.
-func newRunState(ctx context.Context, pt *PreparedTarget, cols int) *runState {
+// newRunState binds a context and the request's source projection to
+// the pinned artifacts of a prepared target; all resolution and
+// training already happened in PrepareTarget.
+func newRunState(ctx context.Context, pt *PreparedTarget, proj *match.SourceProjection, cols int) *runState {
 	return &runState{
 		ctx: ctx, tgt: pt.tgt, opt: pt.opt, eng: pt.eng,
-		feats: pt.arts.feats, fcls: pt.arts.fcls, cols: cols,
+		feats: pt.arts.feats, fcls: pt.arts.fcls, proj: proj, cols: cols,
 	}
+}
+
+// projectionKey is the context key of WithSourceProjection.
+type projectionKey struct{}
+
+// WithSourceProjection attaches a source projection to ctx for the
+// prepared match it is passed to: a caller matching one source against
+// many catalogs tokenizes the source once and hands each catalog its
+// own projection, instead of letting every match tokenize it again.
+// A projection keyed in another dictionary, or extracted from another
+// schema than the match's source, is ignored.
+func WithSourceProjection(ctx context.Context, p *match.SourceProjection) context.Context {
+	return context.WithValue(ctx, projectionKey{}, p)
+}
+
+// sourceProjection returns the run's source projection: the one the
+// caller attached to ctx for this target, or else src tokenized here
+// (across workers goroutines) and keyed into the target's dictionary.
+// A target without a candidate index — an Exhaustive engine — gets
+// none and keeps tokenizing per use.
+func sourceProjection(ctx context.Context, src *relational.Schema, pt *PreparedTarget, workers int) *match.SourceProjection {
+	feats := pt.arts.feats
+	if feats.Index() == nil {
+		return nil
+	}
+	if p, ok := ctx.Value(projectionKey{}).(*match.SourceProjection); ok && p != nil &&
+		p.Source() == src && p.Dict() == feats.Dict() {
+		return p
+	}
+	return match.FeaturizeSource(src, workers).ProjectDict(feats.Dict())
 }
 
 // tableResult is the output of lines 3-11 of Figure 5 for one source
@@ -157,7 +192,7 @@ func contextMatchPrepared(ctx context.Context, src *relational.Schema, pt *Prepa
 		budget = 1
 	}
 	tableWorkers := opt.workers(len(src.Tables))
-	run := newRunState(ctx, pt, budget/tableWorkers)
+	run := newRunState(ctx, pt, sourceProjection(ctx, src, pt, budget), budget/tableWorkers)
 
 	outs := make([]tableResult, len(src.Tables))
 	if workers := tableWorkers; workers <= 1 {
@@ -243,14 +278,14 @@ func (r *runState) matchTable(rs *relational.Table) tableResult {
 	if err := r.ctx.Err(); err != nil {
 		return tableResult{err: err}
 	}
-	bound := r.eng.BindParallel(rs, r.tgt, r.feats, r.cols)
+	bound := r.eng.BindParallel(rs, r.tgt, r.feats, r.proj, r.cols)
 	defer bound.Release()
 	protos := bound.StandardMatches(r.opt.Tau) // line 4
 	if err := r.ctx.Err(); err != nil {
 		return tableResult{err: err}
 	}
 
-	cands := inferCandidateViews(rs, r.tgt, len(protos) > 0, r.opt, r.fcls) // line 5
+	cands := inferCandidateViews(rs, r.tgt, len(protos) > 0, r.opt, r.fcls, r.proj) // line 5
 	var fams []ViewFamily
 	for _, c := range cands {
 		if c.Family != nil {
@@ -636,11 +671,11 @@ func conjunctiveStages(r *runState, res *Result) error {
 // with the view's own condition.
 func (r *runState) stageMatches(view *relational.Table, used map[string]bool, protos []match.Match) ([]match.Match, error) {
 	base := view.Root()
-	bound := r.eng.BindParallel(base, r.tgt, r.feats, r.cols)
+	bound := r.eng.BindParallel(base, r.tgt, r.feats, r.proj, r.cols)
 	defer bound.Release()
 	resolved := resolveProtos(bound, protos)
 	var rl []ScoredCandidate
-	for _, c := range inferCandidateViews(view, r.tgt, len(protos) > 0, r.opt, r.fcls) {
+	for _, c := range inferCandidateViews(view, r.tgt, len(protos) > 0, r.opt, r.fcls, r.proj) {
 		if err := r.ctx.Err(); err != nil {
 			return nil, err
 		}

@@ -86,12 +86,22 @@ type labelClassifier interface {
 	Predict(row int, v relational.Value) int
 }
 
+// split is one ClusteredViewGen input partitioned into its training and
+// testing tables, with each half's rows also given as indices into the
+// input table — which lets a classifier serve both halves from
+// per-row work done once on the unsplit table.
+type split struct {
+	whole               *relational.Table
+	train, test         *relational.Table
+	trainRows, testRows []int
+}
+
 // classifierFactory builds a fresh labelClassifier for attribute h over
 // the given train/test split; groups is the number of dense group
 // indices Train/Predict will see, so implementations can size their
 // accumulators up front. It is re-invoked on every (re)training pass of
 // the merge loop.
-type classifierFactory func(train, test *relational.Table, h string, groups int) labelClassifier
+type classifierFactory func(s *split, h string, groups int) labelClassifier
 
 // clusterConfig carries the fixed parameters of ClusteredViewGen.
 type clusterConfig struct {
@@ -110,7 +120,12 @@ func clusteredViewGen(r *relational.Table, cfg clusterConfig, rng *rand.Rand) []
 	if len(nonCat) == 0 || len(cat) == 0 || r.Len() < 4 {
 		return nil
 	}
-	train, test := relational.Split(r, cfg.trainFrac, rng)
+	trainRows, testRows := relational.SplitRows(r.Len(), cfg.trainFrac, rng)
+	s := &split{
+		whole: r, train: r.Restrict(trainRows), test: r.Restrict(testRows),
+		trainRows: trainRows, testRows: testRows,
+	}
+	train, test := s.train, s.test
 	var out []ViewFamily
 	for _, l := range cat {
 		// The categorical profile of l — its distinct training values and
@@ -128,7 +143,7 @@ func clusteredViewGen(r *relational.Table, cfg clusterConfig, rng *rand.Rand) []
 			if h == l {
 				continue
 			}
-			out = append(out, evaluatePair(r, train, test, h, l, values, trainVI, testVI, cfg)...)
+			out = append(out, evaluatePair(s, h, l, values, trainVI, testVI, cfg)...)
 		}
 	}
 	return dedupFamilies(out)
@@ -159,7 +174,7 @@ func rowValueIndices(t *relational.Table, l string, values []relational.Value) [
 // EarlyDisjuncts, iterates the §3.3 merge loop. Each significant grouping
 // yields one ViewFamily. Groups are manipulated as value-index sets and
 // materialized into ValueGroups only when a family is emitted.
-func evaluatePair(r, train, test *relational.Table, h, l string, values []relational.Value, trainVI, testVI []int, cfg clusterConfig) []ViewFamily {
+func evaluatePair(s *split, h, l string, values []relational.Value, trainVI, testVI []int, cfg clusterConfig) []ViewFamily {
 	// groups starts as the singleton partition; the merge loop coarsens it.
 	groups := make([][]int, len(values))
 	for i := range values {
@@ -168,14 +183,14 @@ func evaluatePair(r, train, test *relational.Table, h, l string, values []relati
 
 	var out []ViewFamily
 	for {
-		res := trainAndTest(train, test, h, groups, len(values), trainVI, testVI, cfg.factory)
+		res := trainAndTest(s, h, groups, len(values), trainVI, testVI, cfg.factory)
 		if res.ntest == 0 {
 			return out
 		}
 		sig := stats.SignificanceAgainstNaive(res.correct, res.ntest, res.naiveP)
 		if sig > cfg.threshold {
 			out = append(out, ViewFamily{
-				Table:        r,
+				Table:        s.whole,
 				Attr:         l,
 				Groups:       materializeGroups(groups, values),
 				Evidence:     h,
@@ -270,14 +285,15 @@ func (r *testResult) topErrorPair() (int, int) {
 // Tuples whose l value was unseen in training are skipped, as are NULLs
 // — both carry index -1 in the precomputed trainVI/testVI row maps, so
 // the per-row label resolution is two array reads and hashes nothing.
-func trainAndTest(train, test *relational.Table, h string, groups [][]int, nValues int, trainVI, testVI []int, factory classifierFactory) testResult {
+func trainAndTest(s *split, h string, groups [][]int, nValues int, trainVI, testVI []int, factory classifierFactory) testResult {
+	train, test := s.train, s.test
 	groupOf := make([]int, nValues)
 	for gi, g := range groups {
 		for _, vi := range g {
 			groupOf[vi] = gi
 		}
 	}
-	cls := factory(train, test, h, len(groups))
+	cls := factory(s, h, len(groups))
 	// The CNaive baseline of §3.2.2 reduces to counting group frequencies:
 	// its success probability is the majority group's training share.
 	naiveCounts := make([]int, len(groups))

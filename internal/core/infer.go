@@ -24,17 +24,20 @@ type Candidate struct {
 // StandardMatch; per the paper no conditions are returned when it is
 // empty. The target schema is consulted only by TgtClassInfer.
 func InferCandidateViews(r *relational.Table, tgt *relational.Schema, hasMatches bool, opt Options) []Candidate {
-	return inferCandidateViews(r, tgt, hasMatches, opt, nil)
+	return inferCandidateViews(r, tgt, hasMatches, opt, nil, nil)
 }
 
 // inferCandidateViews is InferCandidateViews with an optional pre-built
 // frozen target classifier set. ContextMatch compiles fcls once per
 // prepared target (or takes it from the target cache) and shares it
 // across all per-table workers; nil trains and freezes fresh, which the
-// one-shot entry points rely on. Every call derives its own RNG from
-// opt.Seed, so concurrent per-table inference stays deterministic
-// regardless of goroutine interleaving.
-func inferCandidateViews(r *relational.Table, tgt *relational.Schema, hasMatches bool, opt Options, fcls *frozenTargetClassifiers) []Candidate {
+// one-shot entry points rely on. proj, when non-nil, is the request's
+// source tokenization keyed into the prepared target's dictionary; the
+// target tagger classifies from it instead of re-tokenizing values.
+// Every call derives its own RNG from opt.Seed, so concurrent
+// per-table inference stays deterministic regardless of goroutine
+// interleaving.
+func inferCandidateViews(r *relational.Table, tgt *relational.Schema, hasMatches bool, opt Options, fcls *frozenTargetClassifiers, proj *match.SourceProjection) []Candidate {
 	if !hasMatches {
 		return nil
 	}
@@ -53,7 +56,7 @@ func inferCandidateViews(r *relational.Table, tgt *relational.Schema, hasMatches
 		if fcls == nil {
 			fcls = newTargetClassifiers(tgt, 1).freezeFresh()
 		}
-		tagger := newTagger(fcls)
+		tagger := newTagger(fcls, proj)
 		return candidatesFromFamilies(clusteredViewGen(r, clusterConfig{
 			threshold:      opt.SignificanceT,
 			trainFrac:      opt.TrainFrac,
@@ -142,8 +145,8 @@ func dedupCandidates(cands []Candidate) []Candidate {
 // numeric attributes, trained directly on the source values of h. Group
 // indices are adapted to the classify package's string labels via
 // groupLabel/parseGroupLabel.
-func srcClassifierFactory(train, _ *relational.Table, h string, _ int) labelClassifier {
-	a, _ := train.Attr(h)
+func srcClassifierFactory(s *split, h string, _ int) labelClassifier {
+	a, _ := s.train.Attr(h)
 	return &srcClassifier{cls: classify.ForType(a.Type)}
 }
 
@@ -382,11 +385,16 @@ const noTag = int32(-1)
 // tgtTagger caches, per column, the target-attribute tag of every row —
 // the C_D^T classification of Figure 7 — so each source column is
 // classified exactly once per run instead of once per (h, l) attribute
-// pair per merge-loop iteration. Not safe for concurrent use; every
-// inference call owns one.
+// pair per merge-loop iteration. With a source projection keyed into
+// the Naive Bayes classifier's own dictionary, string rows classify
+// from their projected gram IDs (ClassifyIDs) instead of re-tokenizing
+// the value — the same tags, bit for bit. Not safe for concurrent use;
+// every inference call owns one.
 type tgtTagger struct {
 	fcls *frozenTargetClassifiers
+	proj *match.SourceProjection
 	tags map[tagKey][]int32
+	ids  []uint32
 }
 
 type tagKey struct {
@@ -394,13 +402,14 @@ type tagKey struct {
 	attr string
 }
 
-func newTagger(fcls *frozenTargetClassifiers) *tgtTagger {
-	return &tgtTagger{fcls: fcls, tags: map[tagKey][]int32{}}
+func newTagger(fcls *frozenTargetClassifiers, proj *match.SourceProjection) *tgtTagger {
+	return &tgtTagger{fcls: fcls, proj: proj, tags: map[tagKey][]int32{}}
 }
 
-// tagsFor returns the per-row tag indices of column h of t, computing
-// them on first use.
-func (tg *tgtTagger) tagsFor(t *relational.Table, h string) []int32 {
+// tagsFor returns the per-row tag indices of column h of t — one half
+// of split s, whose rows are s.whole's rows at the given indices —
+// computing them on first use.
+func (tg *tgtTagger) tagsFor(s *split, t *relational.Table, rows []int, h string) []int32 {
 	key := tagKey{t, h}
 	if ts, ok := tg.tags[key]; ok {
 		return ts
@@ -409,31 +418,74 @@ func (tg *tgtTagger) tagsFor(t *relational.Table, h string) []int32 {
 	a, _ := t.Attr(h)
 	fc := tg.fcls.byDomain[a.Type.Domain()]
 	hi := t.AttrIndex(h)
+	nb, baseRows, pc, projected := tg.projected(s.whole, h, fc)
 	for ri, row := range t.Rows {
 		out[ri] = noTag
-		if fc != nil {
-			if idx, ok := fc.ClassifyIndex(row[hi]); ok {
-				out[ri] = int32(idx)
+		if fc == nil {
+			continue
+		}
+		// NULL rows have no projected grams; they classify by value.
+		var nonNull bool
+		if projected {
+			br := rows[ri]
+			if baseRows != nil {
+				br = baseRows[br]
 			}
+			tg.ids, nonNull = pc.Row(br, tg.ids)
+		}
+		var idx int
+		var ok bool
+		if nonNull {
+			idx, ok = nb.ClassifyIDs(tg.ids)
+		} else {
+			idx, ok = fc.ClassifyIndex(row[hi])
+		}
+		if ok {
+			out[ri] = int32(idx)
 		}
 	}
 	tg.tags[key] = out
 	return out
 }
 
+// projected resolves the tagger's source projection for column h of
+// whole: the Naive Bayes classifier it can feed IDs to, the map from
+// whole's rows to its base table's rows (nil when whole is the base
+// table), and the projected column. ok is false — classify values —
+// unless fc is a Naive Bayes classifier keyed in the projection's
+// dictionary and whole is a base table or a select-only view over one
+// whose column the projection covers.
+func (tg *tgtTagger) projected(whole *relational.Table, h string, fc classify.FrozenClassifier) (nb *classify.FrozenNaiveBayes, baseRows []int, pc match.ProjectedColumn, ok bool) {
+	if tg.proj == nil {
+		return nil, nil, pc, false
+	}
+	if nb, ok = fc.(*classify.FrozenNaiveBayes); !ok || nb.Dict() != tg.proj.Dict() {
+		return nil, nil, pc, false
+	}
+	base := whole
+	if whole.IsView() {
+		if whole.Base.IsView() || len(whole.Projection) > 0 || len(whole.SelectedRows) != len(whole.Rows) {
+			return nil, nil, pc, false
+		}
+		base, baseRows = whole.Base, whole.SelectedRows
+	}
+	pc, ok = tg.proj.Column(base, h)
+	return nb, baseRows, pc, ok
+}
+
 // factory builds the TgtClassInfer labelClassifier for attribute h: it
 // tags each training row with its most similar target attribute,
 // accumulates TBag(R.h, R.l) in dense slices and derives bestCAT
 // (§3.2.4). Row tags come precomputed from the tagger.
-func (tg *tgtTagger) factory(train, test *relational.Table, h string, groups int) labelClassifier {
+func (tg *tgtTagger) factory(s *split, h string, groups int) labelClassifier {
 	nTags := 1 // slot 0 is the no-classifier tag
-	a, _ := train.Attr(h)
+	a, _ := s.train.Attr(h)
 	if fc := tg.fcls.byDomain[a.Type.Domain()]; fc != nil {
 		nTags += len(fc.Labels())
 	}
 	return &tgtClassifier{
-		trainTags: tg.tagsFor(train, h),
-		testTags:  tg.tagsFor(test, h),
+		trainTags: tg.tagsFor(s, s.train, s.trainRows, h),
+		testTags:  tg.tagsFor(s, s.test, s.testRows, h),
 		nGroups:   groups,
 		vFreq:     make([]int, groups),
 		gFreq:     make([]int, nTags),
@@ -536,7 +588,7 @@ func families(r *relational.Table, tgt *relational.Schema, opt Options) []ViewFa
 	case SrcClassInfer:
 		cfg.factory = srcClassifierFactory
 	case TgtClassInfer:
-		cfg.factory = newTagger(newTargetClassifiers(tgt, 1).freezeFresh()).factory
+		cfg.factory = newTagger(newTargetClassifiers(tgt, 1).freezeFresh(), nil).factory
 	default:
 		return nil
 	}

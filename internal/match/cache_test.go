@@ -125,7 +125,7 @@ func TestBindParallelMatchesSequential(t *testing.T) {
 	defer seq.Release()
 	want := seq.StandardMatches(0)
 	for _, workers := range []int{2, 4, 8} {
-		par := eng.BindParallel(src, tgt, tf, workers)
+		par := eng.BindParallel(src, tgt, tf, nil, workers)
 		got := par.StandardMatches(0)
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: %d matches, want %d", workers, len(got), len(want))

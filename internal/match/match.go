@@ -120,6 +120,10 @@ type FeatureCache struct {
 	slotCounts  []float64
 	slotTouched []int32
 	rowIdx      []int
+	// proj, when set, is the request's source tokenization keyed into
+	// the shared dictionary: segments compile from it instead of
+	// re-tokenizing the column (see SourceProjection).
+	proj *SourceProjection
 	// hists memoizes normalized value histograms per (column, range,
 	// bins): the bin weights are a pure function of those inputs, so
 	// re-scoring the same numeric column pair — every candidate view
@@ -202,6 +206,7 @@ func (c *FeatureCache) release() {
 	c.noMemo = false
 	c.shared = nil
 	c.dict = nil
+	c.proj = nil
 	featureCachePool.Put(c)
 }
 
@@ -240,11 +245,6 @@ func (c *FeatureCache) NGramVector(t *relational.Table, attr string, maxValues i
 	return vec
 }
 
-// emptySeg marks a non-NULL row that tokenizes to no grams, keeping it
-// distinct from the nil segment of a NULL row (which does not count
-// toward the n-gram value cap).
-var emptySeg = []uint32{}
-
 // segmentsFor returns (compiling on first use) the slot-encoded
 // per-row segments of one base column; see colSegments.
 func (c *FeatureCache) segmentsFor(t *relational.Table, attr string) *colSegments {
@@ -252,67 +252,29 @@ func (c *FeatureCache) segmentsFor(t *relational.Table, attr string) *colSegment
 	if s, ok := c.segs[key]; ok {
 		return s
 	}
-	segs := compileSegments(c.dict, t, attr)
+	segs := c.compile(t, attr)
 	c.segs[key] = segs
 	return segs
 }
 
-// compileSegments tokenizes one column once and slot-encodes every
-// row's grams; see colSegments. It only reads the (frozen) dictionary,
-// so compilations for different columns may run concurrently.
-func compileSegments(d *tokenize.Dict, t *relational.Table, attr string) *colSegments {
-	segs := &colSegments{rows: make([][]int32, len(t.Rows))}
-	i := t.AttrIndex(attr)
-	if i >= 0 {
-		oovBase := uint32(d.Len())
-		oov := map[string]uint32{}
-		raw := make([][]uint32, len(t.Rows))
-		distinct := map[uint32]struct{}{}
-		for ri, row := range t.Rows {
-			v := row[i]
-			if v.IsNull() {
-				continue
-			}
-			seg := emptySeg
-			for g := range tokenize.TrigramSeq(v.Str()) {
-				id, ok := d.Lookup(g)
-				if !ok {
-					id, ok = oov[g]
-					if !ok {
-						id = oovBase + uint32(len(oov))
-						oov[g] = id
-					}
-				}
-				seg = append(seg, id)
-				distinct[id] = struct{}{}
-			}
-			raw[ri] = seg
-		}
-		segs.ids = make([]uint32, 0, len(distinct))
-		for id := range distinct {
-			segs.ids = append(segs.ids, id)
-		}
-		slices.Sort(segs.ids)
-		segs.firstOOV = len(segs.ids)
-		slotOf := make(map[uint32]int32, len(segs.ids))
-		for slot, id := range segs.ids {
-			slotOf[id] = int32(slot)
-			if id >= oovBase && slot < segs.firstOOV {
-				segs.firstOOV = slot
-			}
-		}
-		for ri, seg := range raw {
-			if seg == nil {
-				continue
-			}
-			out := make([]int32, len(seg))
-			for k, id := range seg {
-				out[k] = slotOf[id]
-			}
-			segs.rows[ri] = out
+// compile builds one base column's segments: projected from the
+// request's tokenization when the cache carries one covering the
+// column, otherwise from a tokenization of the column alone keyed
+// through the dictionary. It only reads the cache, so compilations for
+// different columns may run concurrently.
+func (c *FeatureCache) compile(t *relational.Table, attr string) *colSegments {
+	if c.proj != nil {
+		if segs := c.proj.segments(t, attr); segs != nil {
+			return segs
 		}
 	}
-	return segs
+	ai := t.AttrIndex(attr)
+	if ai < 0 {
+		return &colSegments{rows: make([][]int32, len(t.Rows))}
+	}
+	col := tokenizeColumn(t, ai)
+	ids := columnIDs(col, c.dict, func(k int) (uint32, bool) { return c.dict.Lookup(col.Grams[k]) })
+	return columnSegments(col, ids, c.dict)
 }
 
 // vectorFromSegments accumulates the trigram vector of a column from
@@ -608,7 +570,7 @@ func (e *Engine) Bind(src *relational.Table, tgt *relational.Schema) *Bound {
 // still scans the source column features, which a long-lived Matcher
 // cannot reuse across different sources.
 func (e *Engine) BindWithFeatures(src *relational.Table, tgt *relational.Schema, tf *TargetFeatures) *Bound {
-	return e.BindParallel(src, tgt, tf, 1)
+	return e.BindParallel(src, tgt, tf, nil, 1)
 }
 
 // BindParallel is BindWithFeatures with the source-side work — column
@@ -617,12 +579,19 @@ func (e *Engine) BindWithFeatures(src *relational.Table, tgt *relational.Schema,
 // the sequential bind at any worker count: each (matcher, attribute)
 // accumulation runs entirely inside one task, in target order.
 //
+// proj, when non-nil and keyed in tf's dictionary, is the request's
+// one tokenization of the source: the bind's per-row segments project
+// from it instead of re-tokenizing src's columns, bit-identically.
+//
 // The parallel path requires a feature layer covering tgt (so the
 // normalization pass is read-only on the cache) and an engine whose
 // matchers touch only domain-appropriate cache accessors, as the
 // built-in suite does; otherwise workers degrade to 1.
-func (e *Engine) BindParallel(src *relational.Table, tgt *relational.Schema, tf *TargetFeatures, workers int) *Bound {
+func (e *Engine) BindParallel(src *relational.Table, tgt *relational.Schema, tf *TargetFeatures, proj *SourceProjection, workers int) *Bound {
 	b := &Bound{engine: e, src: src, tgt: tgt, cache: acquireFeatureCache(tf)}
+	if tf != nil && proj != nil && proj.dict == tf.dict {
+		b.cache.proj = proj
+	}
 	for _, tt := range tgt.Tables {
 		for _, a := range tt.Attrs {
 			b.targets = append(b.targets, relational.AttrRef{Table: tt.Name, Attr: a.Name})
@@ -747,7 +716,7 @@ func (b *Bound) prewarmParallel(workers int) {
 				// row from them, so the normalization pass — and every
 				// candidate view over this column — stays read-only on
 				// the cache.
-				slots[i].segs = compileSegments(b.cache.dict, b.src, a.Name)
+				slots[i].segs = b.cache.compile(b.src, a.Name)
 				slots[i].vec, _ = slots[i].segs.vector(dictLen, allRows,
 					b.cache.shared.maxValues,
 					make([]float64, len(slots[i].segs.ids)), nil)
@@ -825,6 +794,7 @@ func (b *Bound) normalizeParallel(workers int) {
 // candidate scoring clones. Release each clone independently.
 func (b *Bound) Clone() *Bound {
 	c := acquireFeatureCache(b.cache.shared)
+	c.proj = b.cache.proj
 	maps.Copy(c.ngrams, b.cache.ngrams)
 	maps.Copy(c.numbers, b.cache.numbers)
 	maps.Copy(c.names, b.cache.names)

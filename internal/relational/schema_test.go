@@ -268,7 +268,8 @@ func TestRestrict(t *testing.T) {
 func TestSplitDisjointAndComplete(t *testing.T) {
 	inv := invTable()
 	rng := rand.New(rand.NewSource(1))
-	train, test := Split(inv, 0.6, rng)
+	trainRows, testRows := SplitRows(inv.Len(), 0.6, rng)
+	train, test := inv.Restrict(trainRows), inv.Restrict(testRows)
 	if train.Len()+test.Len() != inv.Len() {
 		t.Fatalf("split sizes %d+%d != %d", train.Len(), test.Len(), inv.Len())
 	}
@@ -292,16 +293,12 @@ func TestSplitDisjointAndComplete(t *testing.T) {
 func TestSplitExtremeFractionsStayNonEmpty(t *testing.T) {
 	inv := invTable()
 	rng := rand.New(rand.NewSource(2))
-	train, test := Split(inv, 0.0, rng)
-	if train.Len() == 0 {
+	if train, _ := SplitRows(inv.Len(), 0.0, rng); len(train) == 0 {
 		t.Error("train forced to >=1 row")
 	}
-	train, test = Split(inv, 1.0, rng)
-	if test.Len() == 0 {
+	if _, test := SplitRows(inv.Len(), 1.0, rng); len(test) == 0 {
 		t.Error("test forced to >=1 row")
 	}
-	_ = train
-	_ = test
 }
 
 func TestSample(t *testing.T) {

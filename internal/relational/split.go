@@ -2,13 +2,15 @@ package relational
 
 import "math/rand"
 
-// Split partitions a table's rows into mutually exclusive training and
-// testing subsets (the inputs of ClusteredViewGen, Figure 6). trainFrac
-// is the fraction of rows that go to training; the split is a uniform
-// random permutation driven by rng so experiments can average over many
-// partitions (the paper averages 8–200 of them).
-func Split(t *Table, trainFrac float64, rng *rand.Rand) (train, test *Table) {
-	n := t.Len()
+// SplitRows partitions the row indices of an n-row table into mutually
+// exclusive training and testing subsets (the inputs of
+// ClusteredViewGen, Figure 6). trainFrac is the fraction of rows that go
+// to training; the split is a uniform random permutation driven by rng
+// so experiments can average over many partitions (the paper averages
+// 8–200 of them). Both subsets stay non-empty for n > 1. Table.Restrict
+// materializes either half; callers keeping per-row work on the unsplit
+// table index it through the returned rows.
+func SplitRows(n int, trainFrac float64, rng *rand.Rand) (train, test []int) {
 	perm := rng.Perm(n)
 	cut := int(float64(n) * trainFrac)
 	if cut < 1 && n > 1 {
@@ -17,7 +19,7 @@ func Split(t *Table, trainFrac float64, rng *rand.Rand) (train, test *Table) {
 	if cut >= n && n > 1 {
 		cut = n - 1
 	}
-	return t.Restrict(perm[:cut]), t.Restrict(perm[cut:])
+	return perm[:cut], perm[cut:]
 }
 
 // Sample returns a table containing k rows drawn uniformly without

@@ -9,6 +9,7 @@ import (
 
 	"ctxmatch"
 	"ctxmatch/internal/datagen"
+	"ctxmatch/internal/match"
 )
 
 // BenchmarkMatchAny measures the subsystem's reason to exist: answering
@@ -145,7 +146,7 @@ func BenchmarkRetrieve(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		scores := retrieve(entries, src, 3, 0, time.Time{})
+		scores := retrieve(entries, match.FeaturizeSource(src, 1), 3, 0, time.Time{})
 		if len(scores) != len(entries) {
 			b.Fatal("short score list")
 		}

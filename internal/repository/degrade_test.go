@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -25,69 +26,91 @@ func resultJSON(t *testing.T, res *ctxmatch.Result) string {
 	return string(b)
 }
 
+// budgets are the worker budgets the degraded-match properties run
+// at: 1 matches survivors one after another, 2 and 8 run them
+// concurrently (two and four survivors at a time under K = 4).
+var budgets = []int{1, 2, 8}
+
+// requireSameSkips asserts every budget's Skipped list equals the
+// first one's — same catalogs, same order, same reasons and details.
+func requireSameSkips(t *testing.T, byBudget map[int][]SkippedCatalog) {
+	t.Helper()
+	want, _ := json.Marshal(byBudget[budgets[0]])
+	for _, b := range budgets[1:] {
+		if got, _ := json.Marshal(byBudget[b]); string(got) != string(want) {
+			t.Fatalf("budget %d skipped %s, budget %d skipped %s", b, got, budgets[0], want)
+		}
+	}
+}
+
 // TestDegradedBitIdentical is the acceptance property of degraded
 // match-any: with a fault injected into one catalog's exact match, the
 // response must carry exactly that catalog in Skipped (reason "error")
 // and every completed catalog's Result must be bit-identical to the
-// fault-free response restricted to those catalogs.
+// fault-free response restricted to those catalogs — at every worker
+// budget, with the same catalog skipped whether survivors run one
+// after another or concurrently.
 func TestDegradedBitIdentical(t *testing.T) {
-	f := newTestFleet(t, 1)
 	src := sharedFleet(t).datasets["aaron-1"].Source
-
-	full, err := f.MatchAny(context.Background(), src, Query{K: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Degraded || len(full.Skipped) != 0 {
-		t.Fatalf("fault-free report degraded: %+v", full.Skipped)
-	}
-	fullByName := map[string]string{}
-	for _, cm := range full.Ranked {
-		fullByName[cm.Name] = resultJSON(t, cm.Result)
-	}
-
-	reg := fault.NewRegistry()
-	reg.Set("fleet.match", fault.Plan{FailNth: 2})
-	f.InjectFaults(reg)
-	defer f.InjectFaults(nil)
-
-	rep, err := f.MatchAny(context.Background(), src, Query{K: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Degraded || len(rep.Skipped) != 1 {
-		t.Fatalf("degraded=%v skipped=%+v, want exactly one skip", rep.Degraded, rep.Skipped)
-	}
-	sk := rep.Skipped[0]
-	if sk.Reason != ReasonError || sk.Detail == "" {
-		t.Fatalf("skip = %+v, want reason %q with detail", sk, ReasonError)
-	}
-	if len(rep.Ranked)+1 != len(full.Ranked) {
-		t.Fatalf("degraded ranked %d + 1 skip != full ranked %d", len(rep.Ranked), len(full.Ranked))
-	}
-	for _, cm := range rep.Ranked {
-		if cm.Name == sk.Name {
-			t.Fatalf("catalog %s both ranked and skipped", cm.Name)
+	skips := map[int][]SkippedCatalog{}
+	for _, b := range budgets {
+		f := newTestFleet(t, b)
+		full, err := f.MatchAny(context.Background(), src, Query{K: 4})
+		if err != nil {
+			t.Fatal(err)
 		}
-		want, ok := fullByName[cm.Name]
-		if !ok {
-			t.Fatalf("degraded response ranked %s, absent from the full response", cm.Name)
+		if full.Degraded || len(full.Skipped) != 0 {
+			t.Fatalf("budget %d: fault-free report degraded: %+v", b, full.Skipped)
 		}
-		if got := resultJSON(t, cm.Result); got != want {
-			t.Errorf("catalog %s: degraded result diverged from the full response", cm.Name)
+		fullByName := map[string]string{}
+		for _, cm := range full.Ranked {
+			fullByName[cm.Name] = resultJSON(t, cm.Result)
 		}
+
+		reg := fault.NewRegistry()
+		reg.Set("fleet.match", fault.Plan{FailNth: 2})
+		f.InjectFaults(reg)
+
+		rep, err := f.MatchAny(context.Background(), src, Query{K: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Degraded || len(rep.Skipped) != 1 {
+			t.Fatalf("budget %d: degraded=%v skipped=%+v, want exactly one skip", b, rep.Degraded, rep.Skipped)
+		}
+		sk := rep.Skipped[0]
+		if sk.Reason != ReasonError || sk.Detail == "" {
+			t.Fatalf("budget %d: skip = %+v, want reason %q with detail", b, sk, ReasonError)
+		}
+		if len(rep.Ranked)+1 != len(full.Ranked) {
+			t.Fatalf("budget %d: degraded ranked %d + 1 skip != full ranked %d", b, len(rep.Ranked), len(full.Ranked))
+		}
+		for _, cm := range rep.Ranked {
+			if cm.Name == sk.Name {
+				t.Fatalf("budget %d: catalog %s both ranked and skipped", b, cm.Name)
+			}
+			want, ok := fullByName[cm.Name]
+			if !ok {
+				t.Fatalf("budget %d: degraded response ranked %s, absent from the full response", b, cm.Name)
+			}
+			if got := resultJSON(t, cm.Result); got != want {
+				t.Errorf("budget %d: catalog %s: degraded result diverged from the full response", b, cm.Name)
+			}
+		}
+		if rep.Matched != len(rep.Ranked) {
+			t.Errorf("budget %d: Matched = %d, want %d", b, rep.Matched, len(rep.Ranked))
+		}
+		skips[b] = rep.Skipped
 	}
-	if rep.Matched != len(rep.Ranked) {
-		t.Errorf("Matched = %d, want %d", rep.Matched, len(rep.Ranked))
-	}
+	requireSameSkips(t, skips)
 }
 
 // TestFaultScheduleDeterminism: the same seeded schedule produces the
-// same skipped set, run after run.
+// same skipped set, run after run and at every worker budget.
 func TestFaultScheduleDeterminism(t *testing.T) {
 	src := sharedFleet(t).datasets["ryan-1"].Source
-	run := func() []SkippedCatalog {
-		f := newTestFleet(t, 1)
+	run := func(b int) []SkippedCatalog {
+		f := newTestFleet(t, b)
 		reg := fault.NewRegistry()
 		reg.Set("fleet.match", fault.Plan{FailNth: 2, Every: true})
 		f.InjectFaults(reg)
@@ -97,15 +120,20 @@ func TestFaultScheduleDeterminism(t *testing.T) {
 		}
 		return rep.Skipped
 	}
-	a, b := run(), run()
-	aj, _ := json.Marshal(a)
-	bj, _ := json.Marshal(b)
-	if string(aj) != string(bj) {
-		t.Fatalf("skipped sets diverged across identical runs:\n%s\n%s", aj, bj)
+	skips := map[int][]SkippedCatalog{}
+	for _, b := range budgets {
+		a, again := run(b), run(b)
+		aj, _ := json.Marshal(a)
+		bj, _ := json.Marshal(again)
+		if string(aj) != string(bj) {
+			t.Fatalf("budget %d: skipped sets diverged across identical runs:\n%s\n%s", b, aj, bj)
+		}
+		if len(a) == 0 {
+			t.Fatalf("budget %d: every-2nd schedule skipped nothing", b)
+		}
+		skips[b] = a
 	}
-	if len(a) == 0 {
-		t.Fatal("every-2nd schedule skipped nothing")
-	}
+	requireSameSkips(t, skips)
 }
 
 // TestExpiredDeadlineDegrades: a request whose deadline already passed
@@ -327,23 +355,67 @@ func TestCompactionDoesNotBlockMatchAny(t *testing.T) {
 
 // TestErrorsDoNotAbortSiblings: an injected failure on one catalog
 // leaves an errors.Is-able detail and the siblings matched — the old
-// isolated-failure contract, now expressed through Skipped.
+// isolated-failure contract, now expressed through Skipped — at every
+// worker budget, always on the same catalog.
 func TestErrorsDoNotAbortSiblings(t *testing.T) {
-	f := newTestFleet(t, 1)
 	src := sharedFleet(t).datasets["barrett-2"].Source
 	sentinel := errors.New("backend lost")
-	reg := fault.NewRegistry()
-	reg.Set("fleet.match", fault.Plan{FailNth: 1, Err: sentinel})
-	f.InjectFaults(reg)
+	skips := map[int][]SkippedCatalog{}
+	for _, b := range budgets {
+		f := newTestFleet(t, b)
+		reg := fault.NewRegistry()
+		reg.Set("fleet.match", fault.Plan{FailNth: 1, Err: sentinel})
+		f.InjectFaults(reg)
 
-	rep, err := f.MatchAny(context.Background(), src, Query{K: 3})
-	if err != nil {
+		rep, err := f.MatchAny(context.Background(), src, Query{K: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Skipped) != 1 || rep.Skipped[0].Detail != sentinel.Error() {
+			t.Fatalf("budget %d: skipped = %+v, want one %q detail", b, rep.Skipped, sentinel)
+		}
+		if len(rep.Ranked) == 0 {
+			t.Fatalf("budget %d: sibling catalogs did not survive an isolated failure", b)
+		}
+		skips[b] = rep.Skipped
+	}
+	requireSameSkips(t, skips)
+}
+
+// TestCanceledMatchAnyLeaksNoGoroutines: cancelling match-any at
+// random points — before retrieval, mid-retrieval, while survivors run
+// concurrently — degrades the report and leaves no goroutine behind:
+// every survivor worker and every match it started has returned by the
+// time MatchAny does.
+func TestCanceledMatchAnyLeaksNoGoroutines(t *testing.T) {
+	f := newTestFleet(t, 8)
+	src := sharedFleet(t).datasets["ryan-10k"].Source
+	if _, err := f.MatchAny(context.Background(), src, Query{K: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Skipped) != 1 || rep.Skipped[0].Detail != sentinel.Error() {
-		t.Fatalf("skipped = %+v, want one %q detail", rep.Skipped, sentinel)
+	before := runtime.NumGoroutine()
+	for i, delay := range []time.Duration{0, 200 * time.Microsecond, time.Millisecond, 3 * time.Millisecond, 8 * time.Millisecond} {
+		ctx, cancel := context.WithCancel(context.Background())
+		timer := time.AfterFunc(delay, cancel)
+		rep, err := f.MatchAny(ctx, src, Query{K: 4})
+		timer.Stop()
+		cancel()
+		if err != nil {
+			t.Fatalf("cancel %d: %v", i, err)
+		}
+		for _, sk := range rep.Skipped {
+			if sk.Reason != ReasonCanceled {
+				t.Fatalf("cancel %d: skip reason %q, want %q", i, sk.Reason, ReasonCanceled)
+			}
+		}
 	}
-	if len(rep.Ranked) == 0 {
-		t.Fatal("sibling catalogs did not survive an isolated failure")
+	// Goroutines that already returned may still be exiting; give the
+	// scheduler a moment before calling anything a leak.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines after canceled match-any calls, %d before", n, before)
 	}
 }

@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"ctxmatch"
+	"ctxmatch/internal/core"
 	"ctxmatch/internal/fault"
 	"ctxmatch/internal/match"
 	"ctxmatch/internal/tokenize"
@@ -62,6 +63,10 @@ type Entry struct {
 	// unindexed catalogs. Guarded by the fleet's mutex like the fused
 	// index itself.
 	slot *tokenize.FusedSlot
+	// workers is the handle's own worker budget; cells sizes its sample
+	// (rows × attributes over its tables), the input property the
+	// survivor fan-out dispatches largest-first by.
+	workers, cells int
 }
 
 // Indexed reports whether the catalog carries a candidate index to
@@ -132,6 +137,10 @@ func (f *Fleet) Installed(name string, generation int, t *ctxmatch.Target) {
 		Generation: generation,
 		Target:     t,
 		feats:      t.Prepared().Features(),
+		workers:    max(1, t.Prepared().Options().Parallelism),
+	}
+	for _, tt := range t.Schema().Tables {
+		e.cells += len(tt.Rows) * len(tt.Attrs)
 	}
 	f.mu.Lock()
 	if old := f.entries[name]; old != nil {
@@ -448,14 +457,27 @@ const retrieveBudgetDiv = 4
 // the package comment for the pruning invariants), runs the exact
 // prepared match on each survivor, and ranks the outcomes.
 //
+// The source is tokenized once, up front and outside the fleet lock;
+// retrieval keys that one tokenization into the fused index's global
+// IDs, and each survivor's match receives its projection into the
+// catalog's own ID space instead of re-tokenizing the source. The
+// survivors' exact matches then share the worker budget — the smallest
+// of the survivors' own Parallelism — as min(budget, survivors)
+// concurrent matches of budget/concurrent workers each, largest
+// catalog first. Outcomes assemble in survivor order, so the report is
+// the same at any budget.
+//
 // MatchAny degrades instead of failing. The request deadline (when ctx
 // carries one) is split into stage budgets — retrieval gets a quarter
 // of what remains, the exact matches the rest — and a catalog whose
 // budget ran out, whose match failed in isolation, or whose circuit
 // breaker is open is reported in Report.Skipped with a reason while
 // every completed catalog's Result stays exact and bit-identical to a
-// direct Target.Match. MatchAny itself errors only on an empty source
-// or an invalid query, never on a deadline.
+// direct Target.Match. Breakers and the "fleet.match" fault point are
+// consulted in survivor order before any match is dispatched, so a
+// seeded fault schedule hits the same catalogs at any budget. MatchAny
+// itself errors only on an empty source or an invalid query, never on
+// a deadline.
 func (f *Fleet) MatchAny(ctx context.Context, src *ctxmatch.Schema, q Query) (*Report, error) {
 	if src == nil || len(src.Tables) == 0 {
 		return nil, fmt.Errorf("source %w", ctxmatch.ErrEmptySchema)
@@ -474,8 +496,10 @@ func (f *Fleet) MatchAny(ctx context.Context, src *ctxmatch.Schema, q Query) (*R
 		retrieveDeadline = time.Now().Add(time.Until(d) / retrieveBudgetDiv)
 	}
 
+	sf := match.FeaturizeSource(src, budget(f.Entries()))
 	var entries, survivors []*Entry
 	var evidence map[string]float64
+	var keys *globalKeys
 	if q.Exhaustive {
 		entries = f.Entries()
 		survivors = entries
@@ -486,7 +510,7 @@ func (f *Fleet) MatchAny(ctx context.Context, src *ctxmatch.Schema, q Query) (*R
 		// below run on the immutable survivor snapshot outside it.
 		if f.mu.TryRLock() {
 			entries = f.entriesLocked()
-			scores = f.fusedRetrieve(entries, src, q.K, q.MinScore, retrieveDeadline)
+			scores, keys = f.fusedRetrieve(entries, sf, q.K, q.MinScore, retrieveDeadline)
 			f.mu.RUnlock()
 		} else {
 			// A writer holds the fleet — an install, a removal, or a
@@ -497,7 +521,7 @@ func (f *Fleet) MatchAny(ctx context.Context, src *ctxmatch.Schema, q Query) (*R
 			// survivors and evidence.
 			f.bypasses.Add(1)
 			entries = f.Entries()
-			scores = retrieve(entries, src, q.K, q.MinScore, retrieveDeadline)
+			scores = retrieve(entries, sf, q.K, q.MinScore, retrieveDeadline)
 		}
 		report.Retrieval = scores
 		evidence = make(map[string]float64, len(scores))
@@ -515,54 +539,120 @@ func (f *Fleet) MatchAny(ctx context.Context, src *ctxmatch.Schema, q Query) (*R
 	}
 	report.Considered = len(entries)
 
+	outs := f.matchSurvivors(ctx, src, sf, keys, survivors, deadline)
 	for i, e := range survivors {
-		now := time.Now()
-		if !deadline.IsZero() && !now.Before(deadline) {
-			for _, rest := range survivors[i:] {
-				report.skip(rest.Name, ReasonDeadline, "")
-			}
-			break
-		}
-		if !f.breakerAllow(e.Name, now) {
-			report.skip(e.Name, ReasonBreakerOpen, "")
-			continue
-		}
-		var res *ctxmatch.Result
-		err := f.faults.Fail("fleet.match")
-		if err == nil {
-			res, err = e.Target.Match(ctx, src)
-		}
-		if err != nil {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				// The request died mid-match: not this catalog's fault
-				// (no breaker record), and nothing after it can run.
-				reason := ReasonDeadline
-				if errors.Is(ctxErr, context.Canceled) {
-					reason = ReasonCanceled
-				}
-				report.skip(e.Name, reason, "")
-				for _, rest := range survivors[i+1:] {
-					report.skip(rest.Name, reason, "")
-				}
-				break
-			}
+		o := outs[i]
+		switch {
+		case o.reason != "":
+			report.skip(e.Name, o.reason, "")
+		case o.err != nil:
 			f.breakerRecord(e.Name, true, time.Now())
-			report.skip(e.Name, ReasonError, err.Error())
-			continue
+			report.skip(e.Name, ReasonError, o.err.Error())
+		default:
+			f.breakerRecord(e.Name, false, time.Now())
+			report.Ranked = append(report.Ranked, CatalogMatch{
+				Name:       e.Name,
+				Generation: e.Generation,
+				Evidence:   evidence[e.Name],
+				Score:      aggregateScore(o.res),
+				Result:     o.res,
+			})
+			report.Matched++
 		}
-		f.breakerRecord(e.Name, false, time.Now())
-		report.Ranked = append(report.Ranked, CatalogMatch{
-			Name:       e.Name,
-			Generation: e.Generation,
-			Evidence:   evidence[e.Name],
-			Score:      aggregateScore(res),
-			Result:     res,
-		})
-		report.Matched++
 	}
 	slices.SortStableFunc(report.Ranked, rankCatalogMatches)
 	report.Degraded = len(report.Skipped) > 0
 	return report, nil
+}
+
+// budget is the worker budget a request over entries may use: the
+// smallest of their own Parallelism settings, so fanning out never
+// exceeds what any one catalog was configured for.
+func budget(entries []*Entry) int {
+	b := 0
+	for _, e := range entries {
+		if b == 0 || e.workers < b {
+			b = e.workers
+		}
+	}
+	return max(1, b)
+}
+
+// survivorOutcome is one survivor's exact-match outcome: a result, an
+// isolated failure, or the skip reason it was given up with.
+type survivorOutcome struct {
+	res    *ctxmatch.Result
+	err    error
+	reason string
+}
+
+// matchSurvivors runs the survivors' exact matches and returns their
+// outcomes in survivor order. Admission runs first, in survivor order:
+// past the request deadline every remaining survivor is skipped, an
+// open breaker skips its catalog, and the "fleet.match" fault point is
+// consulted once per admitted catalog. The admitted matches then run
+// min(budget, admitted) at a time, budget/concurrent workers each,
+// largest catalog (by sample cells) first so the longest match starts
+// at once. A match not yet started when the request dies is skipped
+// with the deadline or cancellation reason, as is one the death
+// interrupted.
+func (f *Fleet) matchSurvivors(ctx context.Context, src *ctxmatch.Schema, sf *match.SourceFeatures, keys *globalKeys, survivors []*Entry, deadline time.Time) []survivorOutcome {
+	outs := make([]survivorOutcome, len(survivors))
+	var admitted []int
+	for i, e := range survivors {
+		now := time.Now()
+		switch {
+		case !deadline.IsZero() && !now.Before(deadline):
+			outs[i].reason = ReasonDeadline
+		case !f.breakerAllow(e.Name, now):
+			outs[i].reason = ReasonBreakerOpen
+		default:
+			if outs[i].err = f.faults.Fail("fleet.match"); outs[i].err == nil {
+				admitted = append(admitted, i)
+			}
+		}
+	}
+	slices.SortStableFunc(admitted, func(a, b int) int { return survivors[b].cells - survivors[a].cells })
+	total := budget(survivors)
+	outer := min(total, len(admitted))
+	inner := total / max(1, outer)
+	match.ForEachIndex(len(admitted), outer, func(n int) {
+		i := admitted[n]
+		e := survivors[i]
+		if err := ctx.Err(); err != nil {
+			outs[i].reason = ctxReason(err)
+			return
+		}
+		if !deadline.IsZero() && !time.Now().Before(deadline) {
+			outs[i].reason = ReasonDeadline
+			return
+		}
+		mctx := ctx
+		if e.Indexed() {
+			mctx = core.WithSourceProjection(ctx, keys.project(sf, e))
+		}
+		t := e.Target
+		if inner != e.workers {
+			t = t.WithParallelism(inner)
+		}
+		outs[i].res, outs[i].err = t.Match(mctx, src)
+		if outs[i].err != nil {
+			if err := ctx.Err(); err != nil {
+				// The request died mid-match: not this catalog's fault,
+				// so no error and no breaker record.
+				outs[i].err, outs[i].reason = nil, ctxReason(err)
+			}
+		}
+	})
+	return outs
+}
+
+// ctxReason maps a dead request context to its skip reason.
+func ctxReason(err error) string {
+	if errors.Is(err, context.Canceled) {
+		return ReasonCanceled
+	}
+	return ReasonDeadline
 }
 
 // rankCatalogMatches orders completed survivors best-first: higher

@@ -163,7 +163,7 @@ func TestRetrievalPruningIsExact(t *testing.T) {
 	f := newTestFleet(t, 1)
 	entries := f.Entries()
 	for _, srcName := range []string{"aaron-2", "ryan-1", "ryan-10k"} {
-		src := sharedFleet(t).datasets[srcName].Source
+		src := match.FeaturizeSource(sharedFleet(t).datasets[srcName].Source, 1)
 		// k = fleet size: the floor never exceeds any catalog's evidence,
 		// so nothing is pruned and every evidence value is exact.
 		full := retrieve(entries, src, len(entries), 0, time.Time{})
@@ -468,5 +468,43 @@ func TestEvictionDuringMatchAny(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Errorf("match-any under churn: %v", err)
+	}
+}
+
+// TestMatchAnyTokenizesSourceOnce: however many catalogs survive, and
+// whether retrieval runs on the fused index, on the per-catalog path
+// behind a parked writer, or not at all (Exhaustive), one match-any
+// tokenizes each source string column exactly once — retrieval and
+// every survivor's exact match read projections of that one pass.
+func TestMatchAnyTokenizesSourceOnce(t *testing.T) {
+	f := newTestFleet(t, 2)
+	for _, srcName := range []string{"aaron-1", "ryan-10k"} {
+		src := sharedFleet(t).datasets[srcName].Source
+		cols := len(match.FeaturizeSource(src, 1).Cols)
+		count := func(label string, run func() *Report) {
+			t.Helper()
+			before := match.SourceTokenizations()
+			rep := run()
+			if got := match.SourceTokenizations() - before; got != int64(cols) {
+				t.Errorf("%s %s: %d column tokenizations for %d string columns (%d catalogs matched)",
+					srcName, label, got, cols, rep.Matched)
+			}
+		}
+		matchAny := func(q Query) func() *Report {
+			return func() *Report {
+				rep, err := f.MatchAny(context.Background(), src, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rep
+			}
+		}
+		for _, k := range []int{1, 3, len(fleetSpecs)} {
+			count(fmt.Sprintf("k=%d", k), matchAny(Query{K: k}))
+		}
+		count("exhaustive", matchAny(Query{Exhaustive: true}))
+		f.mu.Lock()
+		count("bypass", matchAny(Query{K: 3}))
+		f.mu.Unlock()
 	}
 }

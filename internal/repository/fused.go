@@ -4,13 +4,39 @@ import (
 	"sort"
 	"time"
 
-	"ctxmatch"
+	"ctxmatch/internal/match"
 	"ctxmatch/internal/tokenize"
 )
 
-// fusedRetrieve is the registry-global retrieval pass: the source is
-// profiled once per sampling cap, keyed into the fused index's global
-// dictionary once, and a single fused term-at-a-time pass accumulates
+// globalKeys is a request's source tokenization keyed into the fused
+// index's global ID space under one read-lock hold, together with the
+// remap of every indexed entry captured in that same hold — all that
+// projecting the source into any survivor's local ID space needs once
+// the lock is released.
+type globalKeys struct {
+	// gids[j][k] is the global ID of gram k of source column j, NoID
+	// when no installed catalog holds it.
+	gids   [][]uint32
+	remaps map[*Entry]tokenize.Remap
+}
+
+// project keys the request's source features into e's dictionary: by
+// integer translation through the captured global IDs and e's remap
+// when the fused pass keyed the request, by string lookups otherwise.
+func (g *globalKeys) project(sf *match.SourceFeatures, e *Entry) *match.SourceProjection {
+	d := e.feats.Dict()
+	if g != nil {
+		if r, ok := g.remaps[e]; ok {
+			return sf.Project(d, func(j, k int) (uint32, bool) { return r.Local(g.gids[j][k]) })
+		}
+	}
+	return sf.ProjectDict(d)
+}
+
+// fusedRetrieve is the registry-global retrieval pass: the source's
+// distinct grams — tokenized once per request, outside the lock — are
+// keyed into the fused index's global dictionary once, profiled once
+// per sampling cap, and a single fused term-at-a-time pass accumulates
 // every catalog's per-column WAND bound simultaneously. Catalogs are
 // then visited in descending aggregate-bound order — the most
 // promising catalogs establish the top-k floor first, so the floor is
@@ -33,24 +59,32 @@ import (
 // every not-yet-scored indexed catalog is marked Skipped, exactly as in
 // the per-catalog path.
 //
+// The returned keys carry the request's global IDs and every indexed
+// entry's remap, so survivors' projections can be built after the lock
+// is released (globalKeys.project).
+//
 // Must be called with the fleet's read lock held: the fused pass reads
 // the unfrozen global dictionary and the slot table, which installs
 // mutate under the write lock.
-func (f *Fleet) fusedRetrieve(entries []*Entry, src *ctxmatch.Schema, k int, minScore float64, deadline time.Time) []CatalogScore {
+func (f *Fleet) fusedRetrieve(entries []*Entry, sf *match.SourceFeatures, k int, minScore float64, deadline time.Time) ([]CatalogScore, *globalKeys) {
 	type capProfile struct {
 		cols   []srcColumn
 		bounds [][]float64 // per column, per slot position
 	}
 	nSlots := f.fused.Slots()
+	keys := &globalKeys{gids: make([][]uint32, len(sf.Cols)), remaps: map[*Entry]tokenize.Remap{}}
+	for j, c := range sf.Cols {
+		keys.gids[j] = f.fused.GlobalIDs(c.Grams)
+	}
 	profiles := map[int]*capProfile{}
 	profileFor := func(maxValues int) *capProfile {
 		if p, ok := profiles[maxValues]; ok {
 			return p
 		}
-		cols := extractColumns(src, maxValues)
+		cols := profileColumns(sf, maxValues)
 		p := &capProfile{cols: cols, bounds: make([][]float64, len(cols))}
 		for j := range cols {
-			gv := globalColumnVector(f.fused, &cols[j])
+			gv := tokenize.GlobalVector(keys.gids[j], cols[j].counts, cols[j].norm)
 			p.bounds[j] = make([]float64, nSlots)
 			f.fused.AccumulateBounds(gv, p.bounds[j])
 			cols[j].global = gv
@@ -71,6 +105,7 @@ func (f *Fleet) fusedRetrieve(entries []*Entry, src *ctxmatch.Schema, k int, min
 			scores = append(scores, CatalogScore{Name: e.Name, Generation: e.Generation, Unindexed: true})
 			continue
 		}
+		keys.remaps[e] = e.slot.Remap()
 		p := profileFor(e.feats.MaxValues())
 		agg := 0.0
 		if n := len(p.cols); n > 0 {
@@ -169,18 +204,5 @@ func (f *Fleet) fusedRetrieve(entries []*Entry, src *ctxmatch.Schema, k int, min
 	f.fused.CountSkips(skips)
 
 	sortCatalogScores(scores)
-	return scores
-}
-
-// globalColumnVector keys one profiled source column into the fused
-// index's global ID space. Profile grams are sorted by gram string,
-// the order GlobalVector expects.
-func globalColumnVector(fx *tokenize.FusedIndex, col *srcColumn) *tokenize.IDVector {
-	grams := make([]string, len(col.grams))
-	counts := make([]float64, len(col.grams))
-	for i, gc := range col.grams {
-		grams[i] = gc.g
-		counts[i] = gc.c
-	}
-	return fx.GlobalVector(grams, counts, col.norm)
+	return scores, keys
 }

@@ -8,14 +8,16 @@ import (
 	"time"
 
 	"ctxmatch"
+	"ctxmatch/internal/match"
 )
 
 // fusedScores runs the fused retrieval pass under the fleet's read
 // lock, the way MatchAny drives it.
-func fusedScores(f *Fleet, src *ctxmatch.Schema, k int, minScore float64) []CatalogScore {
+func fusedScores(f *Fleet, src *match.SourceFeatures, k int, minScore float64) []CatalogScore {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	return f.fusedRetrieve(f.entriesLocked(), src, k, minScore, time.Time{})
+	scores, _ := f.fusedRetrieve(f.entriesLocked(), src, k, minScore, time.Time{})
+	return scores
 }
 
 // TestFusedRetrieveAgreesWithLegacy is the fused index's A/B property
@@ -28,7 +30,7 @@ func TestFusedRetrieveAgreesWithLegacy(t *testing.T) {
 	f := newTestFleet(t, 1)
 	entries := f.Entries()
 	for _, srcName := range []string{"aaron-1", "aaron-scaled", "barrett-2", "ryan-1", "ryan-10k"} {
-		src := sharedFleet(t).datasets[srcName].Source
+		src := match.FeaturizeSource(sharedFleet(t).datasets[srcName].Source, 1)
 		// Unpruned pass: exact evidence for every catalog.
 		full := retrieve(entries, src, len(entries), 0, time.Time{})
 		exact := map[string]float64{}

@@ -1,119 +1,67 @@
 package repository
 
 import (
-	"math"
 	"slices"
 	"sort"
-	"strings"
 	"time"
 
-	"ctxmatch"
-	"ctxmatch/internal/relational"
+	"ctxmatch/internal/match"
 	"ctxmatch/internal/tokenize"
 )
 
-// gramCount is one (gram, count) pair of a source column's trigram
-// multiset, in gram-string form so it can be re-keyed into any
-// catalog's interned ID space.
-type gramCount struct {
-	g string
-	c float64
-}
-
-// srcColumn is the catalog-independent profile of one source string
-// column: its deduplicated gram counts (sorted by gram for determinism)
-// and the Euclidean norm of the counts — which is the same under every
-// ID mapping, so it is computed once.
+// srcColumn is one source string column profiled under a sampling cap:
+// its gram counts over the capped rows, aligned with the request's
+// tokenization of the column (zero for grams that occur only past the
+// cap), and the Euclidean norm of those counts — which is the same
+// under every ID mapping, so it is computed once.
 type srcColumn struct {
-	grams []gramCount
-	norm  float64
+	col    *match.SourceColumn
+	counts []float64
+	norm   float64
 	// global is the column keyed into a fused index's global ID space,
 	// set by the fused retrieval pass that owns the profile.
 	global *tokenize.IDVector
 }
 
-// extractColumns profiles every string-domain column of src: trigram
-// counts over at most maxValues non-null values per column (0 = all),
-// the same per-column sampling rule the catalogs' own index vectors
-// were built under.
-func extractColumns(src *ctxmatch.Schema, maxValues int) []srcColumn {
-	var out []srcColumn
-	for _, t := range src.Tables {
-		for ai, a := range t.Attrs {
-			if a.Type.Domain() != relational.DomainString {
-				continue
-			}
-			counts := map[string]float64{}
-			n := 0
-			for _, row := range t.Rows {
-				v := row[ai]
-				if v.IsNull() {
-					continue
-				}
-				for g := range tokenize.TrigramSeq(v.Str()) {
-					counts[g]++
-				}
-				n++
-				if maxValues > 0 && n >= maxValues {
-					break
-				}
-			}
-			col := srcColumn{grams: make([]gramCount, 0, len(counts))}
-			for g, c := range counts {
-				col.grams = append(col.grams, gramCount{g, c})
-			}
-			slices.SortFunc(col.grams, func(a, b gramCount) int { return strings.Compare(a.g, b.g) })
-			var norm2 float64
-			for _, gc := range col.grams {
-				norm2 += gc.c * gc.c
-			}
-			col.norm = math.Sqrt(norm2)
-			out = append(out, col)
-		}
+// profileColumns profiles every featurized source column under the
+// catalogs' per-column sampling cap (0 = all values) — the same rule
+// the catalogs' own index vectors were built under.
+func profileColumns(sf *match.SourceFeatures, maxValues int) []srcColumn {
+	out := make([]srcColumn, len(sf.Cols))
+	for j, c := range sf.Cols {
+		out[j].col = c
+		out[j].counts, out[j].norm = c.Counts(maxValues)
 	}
 	return out
 }
 
-// vector re-keys a source column profile into the entry's interned ID
+// vector keys a source column profile into the entry's interned ID
 // space: grams known to the catalog's dictionary take their dense ID,
 // unknown grams take per-build overflow IDs past the dictionary — out
 // of every posting list's range, so they can never intersect, but still
-// part of the norm — exactly the convention the matching path's
-// VectorBuilder uses for out-of-vocabulary grams.
+// part of the norm — exactly the convention the matching path uses for
+// out-of-vocabulary grams.
 func (e *Entry) vector(col *srcColumn) *tokenize.IDVector {
-	if len(col.grams) == 0 {
-		return tokenize.NewIDVector(nil, nil, 0)
-	}
 	d := e.feats.Dict()
-	base := uint32(d.Len())
-	overflow := uint32(0)
-	type pair struct {
-		id uint32
-		c  float64
-	}
-	pairs := make([]pair, len(col.grams))
-	for i, gc := range col.grams {
-		id, ok := d.Lookup(gc.g)
+	overflow := uint32(d.Len())
+	keys := make([]uint64, 0, len(col.counts))
+	for k, c := range col.counts {
+		if c == 0 {
+			continue
+		}
+		id, ok := d.Lookup(col.col.Grams[k])
 		if !ok {
-			id = base + overflow
+			id = overflow
 			overflow++
 		}
-		pairs[i] = pair{id, gc.c}
+		keys = append(keys, uint64(id)<<32|uint64(k))
 	}
-	slices.SortFunc(pairs, func(a, b pair) int {
-		switch {
-		case a.id < b.id:
-			return -1
-		case a.id > b.id:
-			return 1
-		}
-		return 0
-	})
-	ids := make([]uint32, len(pairs))
-	counts := make([]float64, len(pairs))
-	for i, p := range pairs {
-		ids[i] = p.id
-		counts[i] = p.c
+	sorted := tokenize.SortByID(keys, make([]uint64, len(keys)))
+	ids := make([]uint32, len(sorted))
+	counts := make([]float64, len(sorted))
+	for i, key := range sorted {
+		ids[i] = uint32(key >> 32)
+		counts[i] = col.counts[uint32(key)]
 	}
 	return tokenize.NewIDVector(ids, counts, col.norm)
 }
@@ -141,16 +89,16 @@ func (e *Entry) vector(col *srcColumn) *tokenize.IDVector {
 // every not-yet-scored indexed catalog is marked Skipped (unindexed
 // catalogs carry no scan and still pass through), so the caller can
 // degrade instead of blowing the whole request deadline here.
-func retrieve(entries []*Entry, src *ctxmatch.Schema, k int, minScore float64, deadline time.Time) []CatalogScore {
+func retrieve(entries []*Entry, sf *match.SourceFeatures, k int, minScore float64, deadline time.Time) []CatalogScore {
 	// Source profiles are keyed by the catalog's sampling cap; fleets
 	// prepared by one matcher share a single cap, so this usually
-	// extracts once.
+	// profiles once.
 	profiles := map[int][]srcColumn{}
 	colsFor := func(maxValues int) []srcColumn {
 		if cols, ok := profiles[maxValues]; ok {
 			return cols
 		}
-		cols := extractColumns(src, maxValues)
+		cols := profileColumns(sf, maxValues)
 		profiles[maxValues] = cols
 		return cols
 	}

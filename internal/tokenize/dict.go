@@ -71,43 +71,30 @@ func (d *Dict) MergeInto(global *Dict) []uint32 {
 
 // Remapped returns a copy of v with every ID translated through remap
 // (IDs ≥ len(remap) are kept, preserving per-build overflow IDs),
-// re-sorted by the new IDs, with the norm recomputed in the new sorted
-// order — the exact norm a VectorBuilder keyed to the target ID space
-// would have produced, so remapped vectors are bit-identical to
-// directly-built ones.
+// re-sorted by the new IDs (SortByID), with the norm recomputed in the
+// new sorted order — the exact norm a VectorBuilder keyed to the target
+// ID space would have produced, so remapped vectors are bit-identical
+// to directly-built ones.
 func Remapped(v *IDVector, remap []uint32) *IDVector {
 	if v.NNZ() == 0 {
 		return v
 	}
-	type pair struct {
-		id uint32
-		c  float64
-	}
-	pairs := make([]pair, v.NNZ())
+	keys := make([]uint64, v.NNZ())
 	for i, id := range v.IDs {
-		nid := id
 		if int(id) < len(remap) {
-			nid = remap[id]
+			id = remap[id]
 		}
-		pairs[i] = pair{nid, v.Counts[i]}
+		keys[i] = uint64(id)<<32 | uint64(i)
 	}
-	slices.SortFunc(pairs, func(a, b pair) int {
-		switch {
-		case a.id < b.id:
-			return -1
-		case a.id > b.id:
-			return 1
-		default:
-			return 0
-		}
-	})
-	ids := make([]uint32, len(pairs))
-	counts := make([]float64, len(pairs))
+	sorted := SortByID(keys, make([]uint64, len(keys)))
+	ids := make([]uint32, len(sorted))
+	counts := make([]float64, len(sorted))
 	var norm2 float64
-	for i, p := range pairs {
-		ids[i] = p.id
-		counts[i] = p.c
-		norm2 += p.c * p.c
+	for i, key := range sorted {
+		c := v.Counts[uint32(key)]
+		ids[i] = uint32(key >> 32)
+		counts[i] = c
+		norm2 += c * c
 	}
 	return &IDVector{IDs: ids, Counts: counts, norm: math.Sqrt(norm2)}
 }

@@ -1,7 +1,6 @@
 package tokenize
 
 import (
-	"slices"
 	"sync/atomic"
 	"unsafe"
 )
@@ -33,11 +32,11 @@ import (
 // set (fresh dictionary included).
 //
 // A FusedIndex is NOT internally synchronized: Install, Remove and the
-// retrieval methods (GlobalVector, AccumulateBounds, LocalVector) must
-// be serialized by the owner — in practice the fleet's RWMutex, writes
-// under the write lock, retrieval under the read lock. The global
-// dictionary stays unfrozen (installs keep interning), which is why
-// retrieval-time lookups need the read lock.
+// retrieval methods (GlobalIDs, AccumulateBounds, LocalVector, Remap)
+// must be serialized by the owner — in practice the fleet's RWMutex,
+// writes under the write lock, retrieval under the read lock. The
+// global dictionary stays unfrozen (installs keep interning), which is
+// why retrieval-time lookups need the read lock.
 type FusedIndex struct {
 	global *Dict
 	slots  []*FusedSlot
@@ -74,12 +73,10 @@ type FusedSlot struct {
 	// inv translates global gram IDs to this catalog's local IDs,
 	// shifted by one so 0 means "not in this catalog". Global IDs
 	// past len(inv) were interned after this slot's (re)install and
-	// therefore cannot belong to it.
-	inv []int32
-	// maxW is the catalog-level max-weight bound: the maximum per-gram
-	// normalized weight across the whole catalog. No single gram can
-	// contribute more than src_g/‖src‖·maxW to any of its cosines.
-	maxW float64
+	// therefore cannot belong to it. Compaction installs a fresh
+	// slice instead of rewriting this one, which is what lets Remap
+	// hand it out past the owner's lock.
+	inv  []int32
 	pos  int
 	dead bool
 }
@@ -126,7 +123,6 @@ func (f *FusedIndex) install(s *FusedSlot) {
 	s.inv = inv
 	s.pos = len(f.slots)
 	s.dead = false
-	s.maxW = 0
 	pos := uint32(s.pos)
 	for local, w := range s.ix.maxW {
 		if len(s.ix.lists[local]) == 0 {
@@ -135,9 +131,6 @@ func (f *FusedIndex) install(s *FusedSlot) {
 		gid := remap[local]
 		f.lists[gid] = append(f.lists[gid], FusedRun{Slot: pos, MaxW: w})
 		f.runs++
-		if w > s.maxW {
-			s.maxW = w
-		}
 	}
 }
 
@@ -199,8 +192,27 @@ func (s *FusedSlot) Pos() int { return s.pos }
 // run against.
 func (s *FusedSlot) Index() *Index { return s.ix }
 
-// MaxWeight returns the catalog-level max-weight bound (see FusedSlot).
-func (s *FusedSlot) MaxWeight() float64 { return s.maxW }
+// Remap snapshots the slot's global→local ID translation for use after
+// the owner's read lock is released. It translates exactly the global
+// IDs obtained under the same lock hold (GlobalIDs): a later
+// compaction renumbers the global space but leaves this snapshot
+// intact. The caller holds the read lock.
+func (s *FusedSlot) Remap() Remap { return Remap{inv: s.inv} }
+
+// Remap is an immutable global→local ID translation of one catalog;
+// see FusedSlot.Remap.
+type Remap struct{ inv []int32 }
+
+// Local returns the catalog-local ID of global gram gid, or false when
+// the catalog lacks the gram (NoID included).
+func (r Remap) Local(gid uint32) (uint32, bool) {
+	if int(gid) < len(r.inv) {
+		if l := r.inv[gid]; l > 0 {
+			return uint32(l - 1), true
+		}
+	}
+	return 0, false
+}
 
 // AccumulateBounds makes the single fused term-at-a-time pass for one
 // source column: for every live slot p, bounds[p] accumulates
@@ -239,66 +251,55 @@ func (f *FusedIndex) CountSkips(n int) { f.boundSkips.Add(int64(n)) }
 // end — outside every posting list's range, so they can never
 // intersect, but still part of the norm. The result scores
 // bit-identically to the per-catalog rekeying of the same gram counts:
-// the in-vocabulary (ID, count) pairs are equal and sorted, and
-// overflow IDs — whose assignment order is the only difference —
-// never intersect an indexed column and carry no per-gram bound, so
-// neither exact cosines nor floored-scan decisions can observe them.
-// scratch provides the pair storage (grown as needed) so steady-state
-// probes allocate only the returned slices.
+// the in-vocabulary (ID, count) pairs are equal and in ascending ID
+// order — the order every exact score sums in — and overflow IDs,
+// whose assignment order is the only difference, never intersect an
+// indexed column and carry no per-gram bound, so neither exact cosines
+// nor floored-scan decisions can observe them. Local IDs do not follow
+// global order, so the known pairs are re-sorted with SortByID, an
+// O(n) radix sort over IDs below the catalog's dictionary size.
+// scratch provides the working storage (grown as needed) so
+// steady-state probes allocate only the returned slices.
 func (s *FusedSlot) LocalVector(src *IDVector, scratch *LocalVectorScratch) *IDVector {
 	n := src.NNZ()
 	if n == 0 {
 		return src
 	}
-	mapped := scratch.mapped[:0]
+	keys := scratch.keys[:0]
 	overflow := scratch.overflow[:0]
+	r := s.Remap()
 	for i, gid := range src.IDs {
-		if int(gid) < len(s.inv) {
-			if l := s.inv[gid]; l > 0 {
-				mapped = append(mapped, localPair{uint32(l - 1), src.Counts[i]})
-				continue
-			}
+		if l, ok := r.Local(gid); ok {
+			keys = append(keys, uint64(l)<<32|uint64(i))
+			continue
 		}
 		overflow = append(overflow, src.Counts[i])
 	}
-	// Local IDs do not preserve global order; restore ascending-ID
-	// order (no duplicates: distinct grams map to distinct local IDs).
-	slices.SortFunc(mapped, func(a, b localPair) int {
-		switch {
-		case a.id < b.id:
-			return -1
-		case a.id > b.id:
-			return 1
-		default:
-			return 0
-		}
-	})
-	scratch.mapped = mapped
-	scratch.overflow = overflow
-	ids := make([]uint32, 0, len(mapped)+len(overflow))
-	counts := make([]float64, 0, len(mapped)+len(overflow))
-	for _, p := range mapped {
-		ids = append(ids, p.id)
-		counts = append(counts, p.c)
+	if cap(scratch.tmp) < len(keys) {
+		scratch.tmp = make([]uint64, len(keys))
+	}
+	sorted := SortByID(keys, scratch.tmp[:len(keys)])
+	ids := make([]uint32, 0, n)
+	counts := make([]float64, 0, n)
+	for _, k := range sorted {
+		ids = append(ids, uint32(k>>32))
+		counts = append(counts, src.Counts[uint32(k)])
 	}
 	base := uint32(s.dict.Len())
 	for k, c := range overflow {
 		ids = append(ids, base+uint32(k))
 		counts = append(counts, c)
 	}
+	scratch.keys = keys
+	scratch.overflow = overflow
 	return NewIDVector(ids, counts, src.Norm())
-}
-
-type localPair struct {
-	id uint32
-	c  float64
 }
 
 // LocalVectorScratch recycles LocalVector's working storage across
 // probes.
 type LocalVectorScratch struct {
-	mapped   []localPair
-	overflow []float64
+	keys, tmp []uint64
+	overflow  []float64
 }
 
 // FusedStats sizes the fused index and reports its lifetime bound-pass
@@ -341,41 +342,38 @@ func (f *FusedIndex) Stats() FusedStats {
 	}
 }
 
-// GlobalVector keys a profiled gram-count column into the global ID
-// space: known grams take their global ID, unknown grams (present in
-// the source but in no installed catalog) are dropped from the vector
-// but kept in the norm — they cannot intersect any catalog and carry
-// no bound, so dropping them changes no score and no bound. counts
-// must be in ascending gram order; norm is the column's full Euclidean
-// norm. The result's IDs are sorted ascending.
-func (f *FusedIndex) GlobalVector(grams []string, counts []float64, norm float64) *IDVector {
-	type pair struct {
-		id uint32
-		c  float64
+// GlobalIDs keys distinct grams into the global ID space: out[k] is
+// the global ID of grams[k], or NoID when no installed catalog interned
+// it. The caller holds the owner's read lock (the global dictionary
+// keeps interning across installs).
+func (f *FusedIndex) GlobalIDs(grams []string) []uint32 {
+	out := make([]uint32, len(grams))
+	for k, g := range grams {
+		out[k], _ = f.global.Lookup(g)
 	}
-	pairs := make([]pair, 0, len(grams))
-	for i, g := range grams {
-		if id, ok := f.global.Lookup(g); ok {
-			pairs = append(pairs, pair{id, counts[i]})
+	return out
+}
+
+// GlobalVector assembles a source column's global-ID vector from the
+// global IDs of its distinct grams (see GlobalIDs) and their counts.
+// Grams no catalog knows (NoID) are dropped from the vector but kept
+// in the norm — they cannot intersect any catalog and carry no bound,
+// so dropping them changes no score and no bound — as are zero counts.
+// norm is the column's full Euclidean norm. The result's IDs are
+// sorted ascending.
+func GlobalVector(gids []uint32, counts []float64, norm float64) *IDVector {
+	keys := make([]uint64, 0, len(gids))
+	for k, gid := range gids {
+		if gid != NoID && counts[k] != 0 {
+			keys = append(keys, uint64(gid)<<32|uint64(k))
 		}
 	}
-	// Re-sort by global ID: global IDs follow catalog insertion order,
-	// not gram order (no duplicates: input grams are distinct).
-	slices.SortFunc(pairs, func(a, b pair) int {
-		switch {
-		case a.id < b.id:
-			return -1
-		case a.id > b.id:
-			return 1
-		default:
-			return 0
-		}
-	})
-	ids := make([]uint32, len(pairs))
-	cs := make([]float64, len(pairs))
-	for i, p := range pairs {
-		ids[i] = p.id
-		cs[i] = p.c
+	sorted := SortByID(keys, make([]uint64, len(keys)))
+	ids := make([]uint32, len(sorted))
+	cs := make([]float64, len(sorted))
+	for i, key := range sorted {
+		ids[i] = uint32(key >> 32)
+		cs[i] = counts[uint32(key)]
 	}
 	return NewIDVector(ids, cs, norm)
 }

@@ -29,9 +29,9 @@ func makeFusedFixtures(rng *rand.Rand, n int) []fusedFixture {
 
 // requireFusedEqual asserts got is structurally bit-identical to want:
 // same global dictionary (gram-for-gram, ID-for-ID), same fused runs,
-// and slot-for-slot the same position, inverse remap and max-weight
-// bound. liveSlots are got's handles in expected slot order, so handle
-// survival across compaction is checked too.
+// and slot-for-slot the same position and inverse remap. liveSlots
+// are got's handles in expected slot order, so handle survival across
+// compaction is checked too.
 func requireFusedEqual(t *testing.T, got, want *FusedIndex, liveSlots []*FusedSlot) {
 	t.Helper()
 	if got.global.Len() != want.global.Len() {
@@ -62,9 +62,6 @@ func requireFusedEqual(t *testing.T, got, want *FusedIndex, liveSlots []*FusedSl
 		if g.dead || g.pos != i || w.pos != i {
 			t.Fatalf("slot %d: dead=%v pos=%d, want live at pos %d", i, g.dead, g.pos, i)
 		}
-		if g.maxW != w.maxW {
-			t.Fatalf("slot %d: maxW %v, want %v", i, g.maxW, w.maxW)
-		}
 		if !slices.Equal(g.inv, w.inv) {
 			t.Fatalf("slot %d: inverse remap diverges", i)
 		}
@@ -94,7 +91,7 @@ func globalSource(rng *rand.Rand, f *FusedIndex, pool []fusedFixture) *IDVector 
 	grams = append(grams, "zzz-unseen-gram")
 	counts = append(counts, 2)
 	norm2 += 4
-	return f.GlobalVector(grams, counts, math.Sqrt(norm2))
+	return GlobalVector(f.GlobalIDs(grams), counts, math.Sqrt(norm2))
 }
 
 // TestFusedCompactBitIdentical is the compaction property at the
