@@ -85,14 +85,12 @@ type report struct {
 	SnapshotBytes  int   `json:"snapshot_bytes"`
 	// MatchAnyNs times fleet retrieval (top-k candidate catalogs via
 	// the floored postings scorer, exact match on survivors only) of one
-	// source over a MatchAnyCatalogs-catalog fleet; MatchAnyExhaustNs is
-	// the same query matched against every catalog, and
+	// source over a MatchAnyCatalogs-catalog fleet, and
 	// MatchAnyPrunedFrac the fraction of catalogs retrieval proved
 	// sub-floor and never matched — the pruning factor the repository
 	// subsystem exists to buy. Zero in baselines recorded before the
 	// fleet existed, which the compare gate skips.
 	MatchAnyNs         int64   `json:"matchany_ns,omitempty"`
-	MatchAnyExhaustNs  int64   `json:"matchany_exhaustive_ns,omitempty"`
 	MatchAnyPrunedFrac float64 `json:"matchany_pruned_frac,omitempty"`
 	MatchAnyCatalogs   int     `json:"matchany_catalogs,omitempty"`
 	// MatchAny32* record the same fleet-retrieval figure over a
@@ -221,12 +219,11 @@ func main() {
 		profileHotLoop(prepared, ds, prep.N, *cpuProfile, *memProfile)
 	}
 
-	// Fleet retrieval: match-any over a multi-catalog fleet, once with
-	// top-k retrieval and once exhaustively. The fleet spec is keyed to
-	// the fixture's weight class (quick fixtures get a small fleet) so
-	// compare runs — which adopt the baseline's fixture — stay
-	// apples-to-apples.
-	anyNs, anyExhNs, prunedFrac, fleetN := benchMatchAny(fx.TargetRows >= 500)
+	// Fleet retrieval: match-any over a multi-catalog fleet with top-k
+	// retrieval. The fleet spec is keyed to the fixture's weight class
+	// (quick fixtures get a small fleet) so compare runs — which adopt
+	// the baseline's fixture — stay apples-to-apples.
+	anyNs, prunedFrac, fleetN := benchMatchAny(fx.TargetRows >= 500)
 
 	// Registry-at-capacity retrieval: the same query over 32 catalogs.
 	// Measured on full fixtures only, and in compare mode only when the
@@ -319,7 +316,6 @@ func main() {
 		SnapshotBytes:  snapBuf.Len(),
 
 		MatchAnyNs:         anyNs,
-		MatchAnyExhaustNs:  anyExhNs,
 		MatchAnyPrunedFrac: prunedFrac,
 		MatchAnyCatalogs:   fleetN,
 
@@ -345,18 +341,16 @@ func main() {
 }
 
 // benchMatchAny prepares a fleet of catalogs, installs them into a
-// repository.Fleet and times one source's MatchAny twice — top-k
-// retrieval and exhaustive — returning both ns/op figures, the
-// fraction of catalogs retrieval pruned, and the fleet size. full
-// selects the 8-catalog fleet (including the 10k-scale enterprise
-// catalog, where exhaustive matching visibly degrades); quick runs get
-// a 4-catalog miniature of the same shape.
-func benchMatchAny(full bool) (retrievalNs, exhaustiveNs int64, prunedFrac float64, catalogs int) {
+// repository.Fleet and times one source's top-k MatchAny, returning
+// its ns/op, the fraction of catalogs retrieval pruned, and the fleet
+// size. full selects the 8-catalog fleet (including the 10k-scale
+// enterprise catalog); quick runs get a 4-catalog miniature of the
+// same shape.
+func benchMatchAny(full bool) (retrievalNs int64, prunedFrac float64, catalogs int) {
 	specs := fleetSpecs(full)
 	fleet, src := buildFleet(specs)
 	retrievalNs, prunedFrac = benchFleetQuery(fleet, src, repository.Query{K: repository.DefaultK})
-	exhaustiveNs, _ = benchFleetQuery(fleet, src, repository.Query{Exhaustive: true})
-	return retrievalNs, exhaustiveNs, prunedFrac, len(specs)
+	return retrievalNs, prunedFrac, len(specs)
 }
 
 // benchMatchAny32 measures fleet retrieval at registry capacity: the

@@ -20,38 +20,6 @@ type targetArtifacts struct {
 	fcls  *frozenTargetClassifiers
 }
 
-// buildTargetArtifacts performs the full target-side precompute: column
-// features interned into a fresh dictionary, classifier training and
-// freezing into the same ID space, then the dictionary freeze that
-// makes the whole set shareable. The two independent halves — column
-// feature extraction and classifier training — run concurrently, and
-// each fans internally across up to workers goroutines; the merge and
-// freeze steps are sequential in canonical order, so the artifact set
-// is bit-identical at any worker count.
-func buildTargetArtifacts(eng *match.Engine, tgt *relational.Schema, needCls bool, workers int) *targetArtifacts {
-	if workers < 1 {
-		workers = 1
-	}
-	a := &targetArtifacts{dict: tokenize.NewDict()}
-	var tcls *targetClassifiers
-	var wg sync.WaitGroup
-	if needCls {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tcls = newTargetClassifiers(tgt, workers)
-		}()
-	}
-	a.feats = eng.PrecomputeTargetParallel(tgt, a.dict, workers)
-	wg.Wait()
-	if needCls {
-		a.tcls = tcls
-		a.fcls = tcls.freeze(a.dict)
-	}
-	a.dict.Freeze()
-	return a
-}
-
 // classifierDomains counts the trained per-domain target classifiers:
 // from the live set when the artifacts were built in-process, from the
 // frozen set alone when they were restored from a snapshot (which
@@ -152,10 +120,10 @@ func (c *TargetCache) entry(eng *match.Engine, tgt *relational.Schema) *targetEn
 // computes fresh without caching.
 func (c *TargetCache) artifactsFor(eng *match.Engine, tgt *relational.Schema, needCls bool, workers int) *targetArtifacts {
 	if c == nil {
-		return buildTargetArtifacts(eng, tgt, needCls, workers)
+		return updateTargetArtifacts(eng, nil, tgt, nil, nil, needCls, workers)
 	}
 	e := c.entry(eng, tgt)
-	e.once.Do(func() { e.arts = buildTargetArtifacts(eng, tgt, needCls, workers) })
+	e.once.Do(func() { e.arts = updateTargetArtifacts(eng, nil, tgt, nil, nil, needCls, workers) })
 	c.mu.Lock()
 	arts := e.arts
 	c.mu.Unlock()

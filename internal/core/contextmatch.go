@@ -84,9 +84,9 @@ type runState struct {
 	feats *match.TargetFeatures
 	fcls  *frozenTargetClassifiers
 	// proj is the request's one tokenization of the source, keyed into
-	// the target's dictionary (nil for an unindexed target): binds
-	// compile per-row segments from it and the target tagger classifies
-	// from it, so neither re-tokenizes a source column.
+	// the target's dictionary: binds compile per-row segments from it
+	// and the target tagger classifies from it, so neither re-tokenizes
+	// a source column.
 	proj *match.SourceProjection
 	// cols is how many goroutines each table's source-side work (column
 	// feature extraction, normalization, candidate-view scoring) may
@@ -121,13 +121,8 @@ func WithSourceProjection(ctx context.Context, p *match.SourceProjection) contex
 // sourceProjection returns the run's source projection: the one the
 // caller attached to ctx for this target, or else src tokenized here
 // (across workers goroutines) and keyed into the target's dictionary.
-// A target without a candidate index — an Exhaustive engine — gets
-// none and keeps tokenizing per use.
 func sourceProjection(ctx context.Context, src *relational.Schema, pt *PreparedTarget, workers int) *match.SourceProjection {
 	feats := pt.arts.feats
-	if feats.Index() == nil {
-		return nil
-	}
 	if p, ok := ctx.Value(projectionKey{}).(*match.SourceProjection); ok && p != nil &&
 		p.Source() == src && p.Dict() == feats.Dict() {
 		return p

@@ -178,9 +178,9 @@ type targetClassifiers struct {
 	nbParts map[string]*classify.NaiveBayes
 }
 
-// targetClassifierTrainings counts newTargetClassifiers invocations
-// process-wide, so tests can assert that prepared-target matching
-// performs zero classifier training.
+// targetClassifierTrainings counts classifier-set trainings — from
+// nothing or by delta — process-wide, so tests can assert that
+// prepared-target matching performs zero classifier training.
 var targetClassifierTrainings atomic.Int64
 
 // TargetClassifierTrainings returns how many times target classifiers
@@ -196,36 +196,10 @@ var classifierDomains = []relational.Domain{
 }
 
 // newTargetClassifiers runs createTargetClassifier(D, RT) for every
-// domain with at least one compatible target attribute. The string
-// domain trains as one Naive Bayes partial per table, merged exactly in
-// schema order (labels are table-qualified, so per-label state never
-// crosses partials and the merge reproduces a one-pass training bit for
-// bit); the numeric domains train whole, sequentially in schema order,
-// because the Gaussian's global accumulator is order-sensitive. All
-// trainings are independent of each other, so they fan across up to
-// workers goroutines, and the assembled state is bit-identical at any
-// worker count.
+// domain with at least one compatible target attribute: the update of
+// an empty set, which trains everything.
 func newTargetClassifiers(tgt *relational.Schema, workers int) *targetClassifiers {
-	targetClassifierTrainings.Add(1)
-	tc := &targetClassifiers{
-		byDomain: map[relational.Domain]classify.Classifier{},
-		nbParts:  map[string]*classify.NaiveBayes{},
-	}
-	if tgt == nil {
-		return tc
-	}
-	nTables := len(tgt.Tables)
-	parts := make([]*classify.NaiveBayes, nTables)
-	var numeric [2]classify.Classifier // DomainNumber, DomainBool
-	match.ForEachIndex(nTables+len(numeric), workers, func(i int) {
-		if i < nTables {
-			parts[i] = trainTableNB(tgt.Tables[i])
-		} else {
-			numeric[i-nTables] = trainDomainClassifier(tgt, classifierDomains[i-nTables+1])
-		}
-	})
-	tc.assemble(tgt, parts, numeric)
-	return tc
+	return (*targetClassifiers)(nil).update(tgt, nil, nil, workers)
 }
 
 // assemble publishes the fanned-out training results: string partials
@@ -270,33 +244,46 @@ func trainTableNB(rt *relational.Table) *classify.NaiveBayes {
 	return nb
 }
 
-// update derives the classifier set of an updated schema from this one,
-// retraining only what the delta touches: string partials of touched
-// tables (untouched partials are reused and re-merged in updated-schema
-// order — exact), and numeric domains only when some touched table (old
-// or new side of the delta) has a compatible attribute, because the
-// Gaussian's order-sensitive accumulator spans every table. Unaffected
-// numeric classifiers are shared by reference; classifiers are
-// immutable after training, so sharing is safe.
+// update is the one training path of a classifier set. It derives the
+// set of an updated schema from the receiver, retraining only what the
+// delta touches: string partials of touched tables (untouched partials
+// are reused and re-merged in updated-schema order — exact), and
+// numeric domains only when some touched table (old or new side of the
+// delta) has a compatible attribute, because the Gaussian's
+// order-sensitive accumulator spans every table. Unaffected numeric
+// classifiers are shared by reference; classifiers are immutable after
+// training, so sharing is safe. A nil receiver trains every table and
+// domain from nothing, and touched and affected are not consulted.
+//
+// The string domain trains as one Naive Bayes partial per table, merged
+// exactly in schema order (labels are table-qualified, so per-label
+// state never crosses partials and the merge reproduces a one-pass
+// training bit for bit); the numeric domains train whole, in schema
+// order. All trainings are independent of each other, so they fan
+// across up to workers goroutines, and the assembled state is
+// bit-identical at any worker count.
 func (tc *targetClassifiers) update(updated *relational.Schema, touched func(*relational.Table) bool, affected func(relational.Domain) bool, workers int) *targetClassifiers {
 	targetClassifierTrainings.Add(1)
 	out := &targetClassifiers{
 		byDomain: map[relational.Domain]classify.Classifier{},
 		nbParts:  map[string]*classify.NaiveBayes{},
 	}
+	if updated == nil {
+		return out
+	}
 	nTables := len(updated.Tables)
 	parts := make([]*classify.NaiveBayes, nTables)
 	var numeric [2]classify.Classifier
 	match.ForEachIndex(nTables+len(numeric), workers, func(i int) {
 		if i < nTables {
-			if t := updated.Tables[i]; touched(t) {
+			if t := updated.Tables[i]; tc == nil || touched(t) {
 				parts[i] = trainTableNB(t)
 			} else {
 				parts[i] = tc.nbParts[t.Name]
 			}
 		} else {
 			dom := classifierDomains[i-nTables+1]
-			if affected(dom) {
+			if tc == nil || affected(dom) {
 				numeric[i-nTables] = trainDomainClassifier(updated, dom)
 			} else if cls, ok := tc.byDomain[dom]; ok {
 				numeric[i-nTables] = cls

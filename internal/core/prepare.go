@@ -86,13 +86,13 @@ type PrepStats struct {
 	// DictBytes estimates the memory the interned dictionary pins.
 	DictBytes int
 	// IndexPostings and IndexBytes size the inverted gram-ID candidate
-	// index over the catalog's string columns (zero when prepared with
-	// an Exhaustive engine).
+	// index over the catalog's string columns (zero when the catalog
+	// has none).
 	IndexPostings int
 	IndexBytes    int
 	// IndexHitRate is the lifetime fraction of (source column × indexed
 	// column) pairs that candidate retrieval could not prove scoreless —
-	// the share of the exhaustive cosine work the handle actually
+	// the share of the all-pairs cosine work the handle actually
 	// performs. Zero before any match.
 	IndexHitRate float64
 	// SnapshotBytes is the size of the snapshot the handle was restored

@@ -151,8 +151,8 @@ func applyDelta(old *relational.Schema, delta Delta) (updated *relational.Schema
 //
 // The returned handle shares the receiver's match counter (per-catalog
 // traffic statistics survive updates). Handles restored from snapshots
-// carry no delta provenance, so Update falls back to a full rebuild of
-// the updated catalog — still correct, just not incremental. An invalid
+// carry no delta provenance, so Update builds the updated catalog from
+// nothing — still correct, just not incremental. An invalid
 // delta returns ErrInvalidDelta; dropping every table returns
 // ErrEmptySchema.
 func (pt *PreparedTarget) Update(ctx context.Context, delta Delta) (*PreparedTarget, error) {
@@ -166,25 +166,35 @@ func (pt *PreparedTarget) Update(ctx context.Context, delta Delta) (*PreparedTar
 		return nil, err
 	}
 	needCls := pt.opt.Inference == TgtClassInfer
-	out := &PreparedTarget{tgt: updated, opt: pt.opt, eng: pt.eng, matches: pt.matches}
-	if !pt.arts.feats.CanUpdate() || (needCls && pt.arts.tcls == nil) {
-		out.arts = buildTargetArtifacts(pt.eng, updated, needCls, pt.opt.Parallelism)
-		return out, nil
+	old := pt.arts
+	if !old.feats.CanUpdate() || (needCls && old.tcls == nil) {
+		old = nil // no delta provenance: build from nothing
 	}
-	out.arts = updateTargetArtifacts(pt.eng, pt.arts, updated, touched, affected, needCls, pt.opt.Parallelism)
+	out := &PreparedTarget{tgt: updated, opt: pt.opt, eng: pt.eng, matches: pt.matches}
+	out.arts = updateTargetArtifacts(pt.eng, old, updated, touched, affected, needCls, pt.opt.Parallelism)
 	return out, nil
 }
 
-// updateTargetArtifacts is buildTargetArtifacts' delta twin: the same
-// two concurrent halves (feature layer, classifiers) and the same
-// sequential freeze order into the same kind of fresh dictionary, with
-// each half rebuilding only what the delta touches. Because the feature
-// replay reproduces the fresh build's gram first-appearance order and
-// the classifier merge is exact, the artifact set matches a from-scratch
-// build of the updated schema.
+// updateTargetArtifacts is the one build path of a target's artifact
+// set: column features interned into a fresh dictionary, classifier
+// training and freezing into the same ID space, then the dictionary
+// freeze that makes the whole set shareable. With nil old artifacts
+// everything is built from nothing (a fresh prepare; touched and
+// affected are not consulted); otherwise each half rebuilds only what
+// the delta touches. The two halves run concurrently, and each fans
+// internally across up to workers goroutines; the merge and freeze
+// steps are sequential in canonical order. Because the feature replay
+// reproduces a fresh build's gram first-appearance order and the
+// classifier merge is exact, the artifact set is bit-identical to a
+// build from nothing of updated, at any worker count.
 func updateTargetArtifacts(eng *match.Engine, old *targetArtifacts, updated *relational.Schema, touched func(*relational.Table) bool, affected func(relational.Domain) bool, needCls bool, workers int) *targetArtifacts {
 	if workers < 1 {
 		workers = 1
+	}
+	var oldFeats *match.TargetFeatures
+	var oldCls *targetClassifiers
+	if old != nil {
+		oldFeats, oldCls = old.feats, old.tcls
 	}
 	a := &targetArtifacts{dict: tokenize.NewDict()}
 	var tcls *targetClassifiers
@@ -193,10 +203,10 @@ func updateTargetArtifacts(eng *match.Engine, old *targetArtifacts, updated *rel
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tcls = old.tcls.update(updated, touched, affected, workers)
+			tcls = oldCls.update(updated, touched, affected, workers)
 		}()
 	}
-	a.feats = eng.UpdateTargetFeatures(old.feats, updated, a.dict, touched, workers)
+	a.feats = eng.UpdateTargetFeatures(oldFeats, updated, a.dict, touched, workers)
 	wg.Wait()
 	if needCls {
 		a.tcls = tcls

@@ -120,7 +120,7 @@ func TestBindParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	src, tgt := fixture(rng, 150)
 	eng := NewEngine()
-	tf := eng.PrecomputeTarget(tgt)
+	tf := buildFeatures(eng, tgt)
 	seq := eng.BindWithFeatures(src, tgt, tf)
 	defer seq.Release()
 	want := seq.StandardMatches(0)
@@ -145,7 +145,7 @@ func TestFeatureCachePoolReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	src, tgt := fixture(rng, 80)
 	eng := NewEngine()
-	tf := eng.PrecomputeTarget(tgt)
+	tf := buildFeatures(eng, tgt)
 	var first []Match
 	for i := 0; i < 5; i++ {
 		b := eng.BindWithFeatures(src, tgt, tf)

@@ -2,30 +2,29 @@ package match
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"ctxmatch/internal/relational"
 	"ctxmatch/internal/tokenize"
 )
 
-// targetPrecomputes counts PrecomputeTarget invocations process-wide,
-// so tests can assert that prepared-target matching rescans no catalog
-// columns.
+// targetPrecomputes counts target feature layers built from nothing
+// (UpdateTargetFeatures with no previous layer) process-wide, so tests
+// can assert that prepared-target matching rescans no catalog columns.
 var targetPrecomputes atomic.Int64
 
 // TargetPrecomputes returns how many times a target feature layer has
-// been computed in this process.
+// been built from nothing in this process.
 func TargetPrecomputes() int64 { return targetPrecomputes.Load() }
 
 // TargetFeatures holds the per-column derived features of one target
 // schema — interned-gram ID vectors for string columns, numeric slices
-// for number columns, attribute-name gram vectors — plus the gram
-// dictionary they are keyed by, all precomputed once so that repeated
-// Bind calls against the same long-lived target catalog skip the column
-// scans and share one ID space. The struct is immutable after the
-// owning dictionary is frozen and is then safe to share between
-// concurrent Bounds.
+// and their [min, max] ranges for number columns, attribute-name gram
+// vectors — plus the gram dictionary they are keyed by, all
+// precomputed once so that repeated Bind calls against the same
+// long-lived target catalog skip the column scans and share one ID
+// space. The struct is immutable after the owning dictionary is frozen
+// and is then safe to share between concurrent Bounds.
 type TargetFeatures struct {
 	tgt       *relational.Schema
 	maxValues int
@@ -46,124 +45,10 @@ type TargetFeatures struct {
 	// strCols lists the string-domain target columns in schema order —
 	// the dense column numbering of the candidate index — and colDense
 	// inverts it. index is the inverted gram-ID candidate index over
-	// those columns (nil when the engine runs Exhaustive).
+	// those columns, nil exactly when the schema has no string column.
 	strCols  []colKey
 	colDense map[colKey]int
 	index    *tokenize.Index
-}
-
-// PrecomputeTarget scans every column of tgt once and returns the shared
-// feature set for the engine's configured matchers, interning all catalog
-// grams into a fresh dictionary that is frozen before returning. The
-// n-gram value cap is taken from the engine's ValueNGramMatcher so shared
-// vectors are identical to the ones a private FeatureCache would build.
-func (e *Engine) PrecomputeTarget(tgt *relational.Schema) *TargetFeatures {
-	d := tokenize.NewDict()
-	tf := e.PrecomputeTargetInto(tgt, d)
-	d.Freeze()
-	return tf
-}
-
-// PrecomputeTargetInto is PrecomputeTarget against a caller-owned
-// dictionary that must still be building; the caller freezes it once
-// every artifact sharing the ID space (e.g. frozen classifiers) has
-// been compiled into it.
-func (e *Engine) PrecomputeTargetInto(tgt *relational.Schema, d *tokenize.Dict) *TargetFeatures {
-	return e.PrecomputeTargetParallel(tgt, d, 1)
-}
-
-// PrecomputeTargetParallel is PrecomputeTargetInto with the per-column
-// scans fanned across up to workers goroutines. Each column's grams are
-// interned into a column-local dictionary, and the locals merge into d
-// sequentially in schema order — reproducing exactly the ID assignment
-// of a single sequential pass, so the resulting feature layer is
-// bit-identical at any worker count. Attribute-name vectors intern
-// after every column (the canonical order all worker counts share), and
-// the candidate index builds last, over the final vectors.
-func (e *Engine) PrecomputeTargetParallel(tgt *relational.Schema, d *tokenize.Dict, workers int) *TargetFeatures {
-	targetPrecomputes.Add(1)
-	tf := &TargetFeatures{
-		tgt:       tgt,
-		maxValues: e.ngramMaxValues(),
-		dict:      d,
-		ngrams:    map[colKey]*tokenize.IDVector{},
-		numbers:   map[colKey][]float64{},
-		numRanges: map[colKey][2]float64{},
-		names:     map[string]*tokenize.IDVector{},
-		colOrder:  map[colKey][]uint32{},
-	}
-	if tgt == nil {
-		return tf
-	}
-	type job struct {
-		t      *relational.Table
-		attr   string
-		domain relational.Domain
-	}
-	var jobs []job
-	for _, tt := range tgt.Tables {
-		for _, a := range tt.Attrs {
-			if dom := a.Type.Domain(); dom == relational.DomainString || dom == relational.DomainNumber {
-				jobs = append(jobs, job{tt, a.Name, dom})
-			}
-		}
-	}
-	type slot struct {
-		local *tokenize.Dict
-		vec   *tokenize.IDVector
-		nums  []float64
-	}
-	slots := make([]slot, len(jobs))
-	var builders sync.Pool
-	builders.New = func() any { return tokenize.NewVectorBuilder() }
-	ForEachIndex(len(jobs), workers, func(i int) {
-		b := builders.Get().(*tokenize.VectorBuilder)
-		defer builders.Put(b)
-		j := jobs[i]
-		switch j.domain {
-		case relational.DomainString:
-			ld := tokenize.NewDict()
-			slots[i] = slot{local: ld, vec: buildColumnVector(b, ld, j.t, j.attr, tf.maxValues)}
-		case relational.DomainNumber:
-			slots[i] = slot{nums: numericColumn(j.t, j.attr)}
-		}
-	})
-	for i, j := range jobs {
-		key := colKey{j.t, j.attr}
-		switch j.domain {
-		case relational.DomainString:
-			remap := slots[i].local.MergeInto(d)
-			tf.ngrams[key] = tokenize.Remapped(slots[i].vec, remap)
-			tf.colOrder[key] = remap
-			tf.strCols = append(tf.strCols, key)
-		case relational.DomainNumber:
-			tf.numbers[key] = slots[i].nums
-			if !e.Exhaustive {
-				// Per-column range statistics ride with the candidate
-				// subsystem; the Exhaustive baseline rescans per pair.
-				tf.numRanges[key] = numericRange(slots[i].nums)
-			}
-		}
-	}
-	b := tokenize.NewVectorBuilder()
-	for _, tt := range tgt.Tables {
-		for _, a := range tt.Attrs {
-			if _, ok := tf.names[a.Name]; !ok {
-				b.AddTrigrams(d, a.Name)
-				tf.names[a.Name] = b.Build()
-			}
-		}
-	}
-	if !e.Exhaustive && len(tf.strCols) > 0 {
-		cols := make([]*tokenize.IDVector, len(tf.strCols))
-		tf.colDense = make(map[colKey]int, len(tf.strCols))
-		for i, key := range tf.strCols {
-			cols[i] = tf.ngrams[key]
-			tf.colDense[key] = i
-		}
-		tf.index = tokenize.BuildIndex(cols, d.Len())
-	}
-	return tf
 }
 
 // buildColumnVector aggregates the trigram vector of one column through
@@ -258,8 +143,7 @@ func (tf *TargetFeatures) MaxValues() int {
 }
 
 // Index returns the inverted gram-ID candidate index over the layer's
-// string columns, or nil when the layer was built exhaustively (or
-// holds no string columns).
+// string columns, or nil when the layer holds no string column.
 func (tf *TargetFeatures) Index() *tokenize.Index {
 	if tf == nil {
 		return nil

@@ -36,7 +36,7 @@ type RawNameVector struct {
 
 // RawTargetFeatures is the flat, serializable form of TargetFeatures:
 // every map re-keyed to positional column references, in the canonical
-// schema-scan order PrecomputeTargetParallel builds them, so export →
+// schema-scan order UpdateTargetFeatures builds them, so export →
 // restore reproduces the layer bit-for-bit.
 type RawTargetFeatures struct {
 	MaxValues int
@@ -45,15 +45,14 @@ type RawTargetFeatures struct {
 	// their vectors, parallel.
 	StrCols []RawColumnRef
 	NGrams  []RawVector
-	// Numbers holds the numeric columns in schema order. NumRanges is
-	// parallel to it when the layer caches per-column ranges (indexed
-	// engines), nil when it was built exhaustively.
+	// Numbers holds the numeric columns in schema order, and NumRanges
+	// their [min, max] ranges, parallel.
 	Numbers   []RawNumericColumn
 	NumRanges [][2]float64
 	// Names holds the attribute-name vectors in first-seen schema order.
 	Names []RawNameVector
-	// Index is the candidate index in flat form, nil when the layer has
-	// none.
+	// Index is the candidate index in flat form, nil exactly when the
+	// layer has no string column.
 	Index *tokenize.RawIndex
 }
 
@@ -93,13 +92,8 @@ func (tf *TargetFeatures) ExportRaw() (*RawTargetFeatures, error) {
 				continue
 			}
 			raw.Numbers = append(raw.Numbers, RawNumericColumn{Ref: RawColumnRef{Table: ti, Attr: ai}, Values: vals})
-			if rng, ok := tf.numRanges[key]; ok {
-				raw.NumRanges = append(raw.NumRanges, rng)
-			}
+			raw.NumRanges = append(raw.NumRanges, tf.numRanges[key])
 		}
-	}
-	if len(raw.NumRanges) > 0 && len(raw.NumRanges) != len(raw.Numbers) {
-		return nil, fmt.Errorf("match: %d numeric ranges for %d numeric columns", len(raw.NumRanges), len(raw.Numbers))
 	}
 	// Name vectors in first-seen schema order — the precompute's own
 	// insertion order.
@@ -128,10 +122,10 @@ func (tf *TargetFeatures) ExportRaw() (*RawTargetFeatures, error) {
 
 // RestoreTargetFeatures reconstructs a TargetFeatures over tgt and dict
 // from its flat form, validating every positional reference and vector
-// shape the matching hot path indexes by. When raw carries an index,
-// the candidate index is rebuilt over the restored string-column
-// vectors (the exact pointers the score rows address) and the dense
-// column numbering is reconstituted from StrCols.
+// shape the matching hot path indexes by. A layer with string columns
+// must carry their candidate index, which is rebuilt over the restored
+// string-column vectors (the exact pointers the score rows address)
+// with the dense column numbering reconstituted from StrCols.
 func RestoreTargetFeatures(tgt *relational.Schema, dict *tokenize.Dict, raw *RawTargetFeatures) (*TargetFeatures, error) {
 	tf := &TargetFeatures{
 		tgt:       tgt,
@@ -174,8 +168,11 @@ func RestoreTargetFeatures(tgt *relational.Schema, dict *tokenize.Dict, raw *Raw
 		tf.ngrams[key] = v
 		tf.strCols = append(tf.strCols, key)
 	}
-	if len(raw.NumRanges) > 0 && len(raw.NumRanges) != len(raw.Numbers) {
+	if len(raw.NumRanges) != len(raw.Numbers) {
 		return nil, fmt.Errorf("match: %d numeric ranges for %d numeric columns", len(raw.NumRanges), len(raw.Numbers))
+	}
+	if (raw.Index != nil) != (len(raw.StrCols) > 0) {
+		return nil, fmt.Errorf("match: %d string columns, candidate index present: %v", len(raw.StrCols), raw.Index != nil)
 	}
 	for i, nc := range raw.Numbers {
 		key, err := resolve(nc.Ref, relational.DomainNumber)
@@ -186,9 +183,7 @@ func RestoreTargetFeatures(tgt *relational.Schema, dict *tokenize.Dict, raw *Raw
 			return nil, fmt.Errorf("match: duplicate numeric column %s.%s", key.t.Name, key.attr)
 		}
 		tf.numbers[key] = nc.Values
-		if len(raw.NumRanges) > 0 {
-			tf.numRanges[key] = raw.NumRanges[i]
-		}
+		tf.numRanges[key] = raw.NumRanges[i]
 	}
 	for _, nv := range raw.Names {
 		if _, dup := tf.names[nv.Name]; dup {

@@ -227,13 +227,13 @@ func (c *FeatureCache) NGramVector(t *relational.Table, attr string, maxValues i
 	}
 	var vec *tokenize.IDVector
 	switch {
-	case c.shared != nil && c.shared.index != nil && c.dict.Frozen() &&
+	case c.shared != nil && c.dict.Frozen() &&
 		t.IsView() && len(t.Projection) == 0 &&
 		len(t.Rows) > 0 && len(t.SelectedRows) == len(t.Rows):
 		// len(t.Rows) > 0 matters: a zero-row view has nil SelectedRows,
 		// which vectorFromSegments would otherwise read as "all rows".
 		vec = c.vectorFromSegments(t.Base, attr, maxValues, t.SelectedRows)
-	case c.shared != nil && c.shared.index != nil && c.dict.Frozen() && !t.IsView():
+	case c.shared != nil && c.dict.Frozen() && !t.IsView():
 		// Base columns also assemble from their own segments: the
 		// column is tokenized once (segmentsFor) and both its aggregate
 		// vector and every view over it become integer passes.
@@ -380,18 +380,11 @@ func (c *FeatureCache) Numeric(t *relational.Table, attr string) []float64 {
 // (+Inf, -Inf when empty). Min over cached per-column minima equals min
 // over the concatenated scan bit-for-bit, so matchers can combine two
 // columns' cached ranges instead of rescanning both columns per pair —
-// the scan that made numeric scoring quadratic in catalog width. The
-// per-column statistics are part of the candidate-generation subsystem:
-// an Exhaustive engine's shared layer carries none, and its runs
-// rescan per call, measuring the baseline §2.3 loop faithfully.
+// the scan that made numeric scoring quadratic in catalog width.
 func (c *FeatureCache) NumericRange(t *relational.Table, attr string) (lo, hi float64) {
 	key := colKey{t, attr}
 	if c.shared != nil {
 		if r, ok := c.shared.numRanges[key]; ok {
-			return r[0], r[1]
-		}
-		if c.shared.index == nil {
-			r := numericRange(c.Numeric(t, attr))
 			return r[0], r[1]
 		}
 	}
@@ -457,7 +450,7 @@ func (c *FeatureCache) NameVector(name string) *tokenize.IDVector {
 // dot product in the merge walk's own summation order, and columns
 // sharing no gram score exactly 0 either way.
 func (c *FeatureCache) NGramCosine(src *relational.Table, srcAttr string, tgt *relational.Table, tgtAttr string, maxValues int) float64 {
-	if c.shared != nil && c.shared.index != nil && maxValues == c.shared.maxValues {
+	if c.shared != nil && maxValues == c.shared.maxValues {
 		if ci, ok := c.shared.colDense[colKey{tgt, tgtAttr}]; ok {
 			return c.scoreRow(src, srcAttr, maxValues)[ci]
 		}
@@ -512,12 +505,6 @@ type Engine struct {
 	// gate, restoring the pure §2.3 normalization (exposed for the
 	// ablation benchmarks).
 	EvidenceScale float64
-	// Exhaustive disables the inverted gram-ID candidate index:
-	// PrecomputeTarget skips building it and every pair falls back to
-	// the per-pair merge-walk cosine. Scores are bit-identical either
-	// way; the flag exists so benchmarks and property tests can pit the
-	// indexed path against the exhaustive one.
-	Exhaustive bool
 }
 
 // NewEngine returns an engine with the default matcher suite: attribute
@@ -565,7 +552,7 @@ func (e *Engine) Bind(src *relational.Table, tgt *relational.Schema) *Bound {
 }
 
 // BindWithFeatures is Bind with a precomputed target feature layer
-// (see PrecomputeTarget); tf may be nil or built for a different schema,
+// (see UpdateTargetFeatures); tf may be nil or built for a different schema,
 // in which case its entries simply never hit. The normalization pass
 // still scans the source column features, which a long-lived Matcher
 // cannot reuse across different sources.
@@ -710,30 +697,23 @@ func (b *Bound) prewarmParallel(workers int) {
 		a := attrs[i]
 		switch a.Type.Domain() {
 		case relational.DomainString:
+			// Compile the column's per-row segments once (worker-local
+			// scratch) and derive the vector — and, against a target
+			// with string columns, the indexed score row — from them,
+			// so the normalization pass and every candidate view over
+			// this column stay read-only on the cache.
+			slots[i].segs = b.cache.compile(b.src, a.Name)
+			slots[i].vec, _ = slots[i].segs.vector(dictLen, allRows,
+				b.cache.shared.maxValues,
+				make([]float64, len(slots[i].segs.ids)), nil)
 			if ix != nil {
-				// Compile the column's per-row segments once (worker-local
-				// scratch) and derive the vector and the indexed score
-				// row from them, so the normalization pass — and every
-				// candidate view over this column — stays read-only on
-				// the cache.
-				slots[i].segs = b.cache.compile(b.src, a.Name)
-				slots[i].vec, _ = slots[i].segs.vector(dictLen, allRows,
-					b.cache.shared.maxValues,
-					make([]float64, len(slots[i].segs.ids)), nil)
 				slots[i].row = make([]float64, ix.Columns())
 				ix.ScoreColumns(slots[i].vec, slots[i].row)
-			} else {
-				slots[i].vec = buildColumnVector(builder, b.cache.dict, b.src, a.Name, b.cache.shared.maxValues)
 			}
 		case relational.DomainNumber:
 			slots[i].nums = numericColumn(b.src, a.Name)
 			slots[i].numsOK = true
-			if ix != nil {
-				// Range statistics ride with the candidate subsystem;
-				// the Exhaustive baseline rescans per pair and would
-				// never read this.
-				slots[i].rng = numericRange(slots[i].nums)
-			}
+			slots[i].rng = numericRange(slots[i].nums)
 		}
 		if _, ok := b.cache.shared.names[a.Name]; !ok {
 			builder.AddTrigrams(b.cache.dict, a.Name)
@@ -752,9 +732,7 @@ func (b *Bound) prewarmParallel(workers int) {
 		}
 		if slots[i].numsOK {
 			b.cache.numbers[colKey{b.src, a.Name}] = slots[i].nums
-			if ix != nil {
-				b.cache.numRanges[colKey{b.src, a.Name}] = slots[i].rng
-			}
+			b.cache.numRanges[colKey{b.src, a.Name}] = slots[i].rng
 		}
 		if slots[i].name != nil {
 			b.cache.names[a.Name] = slots[i].name

@@ -99,7 +99,7 @@ func compileSegments(d *tokenize.Dict, t *relational.Table, attr string) *colSeg
 func TestProjectedSegmentsMatchCompiled(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	src, tgt := projectionFixture(rng, 160)
-	tf := NewEngine().PrecomputeTarget(tgt)
+	tf := buildFeatures(NewEngine(), tgt)
 	sf := FeaturizeSource(relational.NewSchema("RS", src), 2)
 	proj := sf.ProjectDict(tf.dict)
 	cache := acquireFeatureCache(tf)
@@ -172,7 +172,7 @@ func TestProjectedBindMatchesUnprojected(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	src, tgt := projectionFixture(rng, 200)
 	eng := NewEngine()
-	tf := eng.PrecomputeTarget(tgt)
+	tf := buildFeatures(eng, tgt)
 	view := src.Select("books", relational.Eq{Attr: "type", Value: relational.I(1)})
 	for _, workers := range []int{1, 4} {
 		plain := eng.BindParallel(src, tgt, tf, nil, workers)
@@ -204,7 +204,7 @@ func TestProjectionForeignDictionaryIgnored(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	src, tgt := projectionFixture(rng, 60)
 	eng := NewEngine()
-	tf := eng.PrecomputeTarget(tgt)
+	tf := buildFeatures(eng, tgt)
 	other := tokenize.NewDict()
 	other.Freeze()
 	proj := FeaturizeSource(relational.NewSchema("RS", src), 1).ProjectDict(other)

@@ -8,10 +8,10 @@ import (
 	"ctxmatch/internal/tokenize"
 )
 
-// targetUpdates counts UpdateTargetFeatures invocations process-wide, so
-// tests can assert that a delta rebuild went through the splice path
-// (and that it performed no full precompute: TargetPrecomputes stays
-// flat across an update).
+// targetUpdates counts delta rebuilds (UpdateTargetFeatures over a
+// previous layer) process-wide, so tests can assert that an update went
+// through the splice path — and performed no build from nothing:
+// TargetPrecomputes stays flat across an update.
 var targetUpdates atomic.Int64
 
 // TargetUpdates returns how many times a target feature layer has been
@@ -19,29 +19,45 @@ var targetUpdates atomic.Int64
 func TargetUpdates() int64 { return targetUpdates.Load() }
 
 // CanUpdate reports whether the layer retains the per-column gram merge
-// order a delta rebuild replays. Layers built by PrecomputeTarget do;
-// layers restored from snapshots do not (the snapshot format carries
-// vectors, not merge provenance) and must be re-prepared from scratch.
+// order a delta rebuild replays. Layers built by UpdateTargetFeatures
+// do; layers restored from snapshots do not (the snapshot format
+// carries vectors, not merge provenance) and must be rebuilt from
+// nothing.
 func (tf *TargetFeatures) CanUpdate() bool {
 	return tf != nil && tf.colOrder != nil
 }
 
-// UpdateTargetFeatures derives the feature layer of an updated schema
-// from an existing layer, rescanning only the columns of tables for
-// which touched reports true. Untouched columns never rescan rows:
-// their gram vectors are replayed into the fresh dictionary d through
+// UpdateTargetFeatures is the one build path of a target feature layer.
+// It interns the layer's grams into d, which must still be building:
+// the caller freezes it once every artifact sharing the ID space (e.g.
+// frozen classifiers) has been compiled into it.
+//
+// With a nil old layer every column of updated is scanned — a fresh
+// prepare, counted by TargetPrecomputes; touched is not consulted.
+// With an old layer only the columns of tables for which touched
+// reports true rescan, counted by TargetUpdates. Untouched columns
+// never rescan rows: their gram vectors are replayed into d through
 // the recorded per-column merge order, so the dictionary's ID
 // assignment — and therefore every vector, name vector and the rebuilt
-// candidate index — is bit-identical to what PrecomputeTargetParallel
-// would produce from scratch over updated. Touched columns fan across
-// up to workers goroutines exactly like a fresh build.
-//
-// The engine must be the one old was built under (the n-gram value cap
-// and Exhaustive flag are part of a layer's identity), old must satisfy
+// candidate index — is bit-identical to a build from nothing over
+// updated. The engine must then be the one old was built under (the
+// n-gram value cap is part of a layer's identity), old must satisfy
 // CanUpdate, and untouched tables in updated must be the same *Table
 // pointers old was built over.
+//
+// Rescanned columns fan across up to workers goroutines: each column's
+// grams are interned into a column-local dictionary, and the locals
+// merge into d sequentially in schema order, so the layer is
+// bit-identical at any worker count. Attribute-name vectors intern
+// after every column (the canonical order all worker counts share), and
+// the candidate index builds last, over the final vectors, whenever the
+// schema has a string column.
 func (e *Engine) UpdateTargetFeatures(old *TargetFeatures, updated *relational.Schema, d *tokenize.Dict, touched func(*relational.Table) bool, workers int) *TargetFeatures {
-	targetUpdates.Add(1)
+	if old == nil {
+		targetPrecomputes.Add(1)
+	} else {
+		targetUpdates.Add(1)
+	}
 	tf := &TargetFeatures{
 		tgt:       updated,
 		maxValues: e.ngramMaxValues(),
@@ -63,7 +79,7 @@ func (e *Engine) UpdateTargetFeatures(old *TargetFeatures, updated *relational.S
 	}
 	var jobs []job
 	for _, tt := range updated.Tables {
-		fresh := touched(tt)
+		fresh := old == nil || touched(tt)
 		for _, a := range tt.Attrs {
 			if dom := a.Type.Domain(); dom == relational.DomainString || dom == relational.DomainNumber {
 				jobs = append(jobs, job{tt, a.Name, dom, fresh})
@@ -97,9 +113,12 @@ func (e *Engine) UpdateTargetFeatures(old *TargetFeatures, updated *relational.S
 	// replay walks each untouched column's recorded merge order; entries
 	// never reached stay NoID and are never consulted, because a
 	// column's vector references exactly the grams its order lists.
-	remapOld := make([]uint32, old.dict.Len())
-	for i := range remapOld {
-		remapOld[i] = tokenize.NoID
+	var remapOld []uint32
+	if old != nil {
+		remapOld = make([]uint32, old.dict.Len())
+		for i := range remapOld {
+			remapOld[i] = tokenize.NoID
+		}
 	}
 	for i, j := range jobs {
 		key := colKey{j.t, j.attr}
@@ -127,22 +146,13 @@ func (e *Engine) UpdateTargetFeatures(old *TargetFeatures, updated *relational.S
 		case relational.DomainNumber:
 			if j.fresh {
 				tf.numbers[key] = slots[i].nums
-				if !e.Exhaustive {
-					tf.numRanges[key] = numericRange(slots[i].nums)
-				}
+				tf.numRanges[key] = numericRange(slots[i].nums)
 			} else {
 				tf.numbers[key] = old.numbers[key]
-				if !e.Exhaustive {
-					tf.numRanges[key] = old.numRanges[key]
-				}
+				tf.numRanges[key] = old.numRanges[key]
 			}
 		}
 	}
-	// Name vectors intern after every column — the same canonical point
-	// a fresh build interns them at — and the candidate index rebuilds
-	// over the final vectors. Both are cheap relative to column scans
-	// (names are short strings; the index is a counting sort over
-	// postings already in memory).
 	b := tokenize.NewVectorBuilder()
 	for _, tt := range updated.Tables {
 		for _, a := range tt.Attrs {
@@ -152,7 +162,7 @@ func (e *Engine) UpdateTargetFeatures(old *TargetFeatures, updated *relational.S
 			}
 		}
 	}
-	if !e.Exhaustive && len(tf.strCols) > 0 {
+	if len(tf.strCols) > 0 {
 		cols := make([]*tokenize.IDVector, len(tf.strCols))
 		tf.colDense = make(map[colKey]int, len(tf.strCols))
 		for i, key := range tf.strCols {

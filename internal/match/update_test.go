@@ -52,72 +52,77 @@ func updateFixture() (base, updated *relational.Schema, touched func(*relational
 	return base, updated, func(t *relational.Table) bool { return fresh[t] }
 }
 
+// buildFeatures builds tgt's feature layer from nothing into a fresh
+// dictionary and freezes it — the shape Prepare pins.
+func buildFeatures(e *Engine, tgt *relational.Schema) *TargetFeatures {
+	d := tokenize.NewDict()
+	tf := e.UpdateTargetFeatures(nil, tgt, d, nil, 1)
+	d.Freeze()
+	return tf
+}
+
 // TestUpdateTargetFeaturesMatchesFreshBuild: the delta path must
-// reproduce, field for field, the layer a from-scratch parallel build
-// produces over the updated schema — gram vectors, merge orders,
-// numeric columns, name vectors, and the rebuilt candidate index — for
-// both the indexed and the exhaustive engine, at 1 and 4 workers.
+// reproduce, field for field, the layer a build from nothing produces
+// over the updated schema — gram vectors, merge orders, numeric
+// columns and ranges, name vectors, and the rebuilt candidate index —
+// at 1 and 4 workers. The two builds advance different counters: a
+// delta is one TargetUpdates, a build from nothing one
+// TargetPrecomputes.
 func TestUpdateTargetFeaturesMatchesFreshBuild(t *testing.T) {
-	for _, exhaustive := range []bool{false, true} {
-		for _, workers := range []int{1, 4} {
-			e := NewEngine()
-			e.Exhaustive = exhaustive
-			base, updated, touched := updateFixture()
-			old := e.PrecomputeTargetParallel(base, tokenize.NewDict(), workers)
-			if !old.CanUpdate() {
-				t.Fatal("fresh build lost its merge provenance")
-			}
+	for _, workers := range []int{1, 4} {
+		e := NewEngine()
+		base, updated, touched := updateFixture()
+		old := e.UpdateTargetFeatures(nil, base, tokenize.NewDict(), nil, workers)
+		if !old.CanUpdate() {
+			t.Fatal("fresh build lost its merge provenance")
+		}
 
-			before := TargetUpdates()
-			got := e.UpdateTargetFeatures(old, updated, tokenize.NewDict(), touched, workers)
-			if TargetUpdates() != before+1 {
-				t.Error("TargetUpdates did not advance")
-			}
-			want := e.PrecomputeTargetParallel(updated, tokenize.NewDict(), workers)
+		precomputes, updates := TargetPrecomputes(), TargetUpdates()
+		got := e.UpdateTargetFeatures(old, updated, tokenize.NewDict(), touched, workers)
+		if TargetUpdates() != updates+1 || TargetPrecomputes() != precomputes {
+			t.Error("delta rebuild not counted as exactly one update")
+		}
+		precomputes, updates = TargetPrecomputes(), TargetUpdates()
+		want := e.UpdateTargetFeatures(nil, updated, tokenize.NewDict(), nil, workers)
+		if TargetPrecomputes() != precomputes+1 || TargetUpdates() != updates {
+			t.Error("build from nothing not counted as exactly one precompute")
+		}
 
-			if !reflect.DeepEqual(got.ngrams, want.ngrams) {
-				t.Errorf("exhaustive=%v workers=%d: ngrams diverge", exhaustive, workers)
+		if !reflect.DeepEqual(got.ngrams, want.ngrams) {
+			t.Errorf("workers=%d: ngrams diverge", workers)
+		}
+		if !reflect.DeepEqual(got.colOrder, want.colOrder) {
+			t.Errorf("workers=%d: colOrder diverges", workers)
+		}
+		if !reflect.DeepEqual(got.numbers, want.numbers) {
+			t.Errorf("workers=%d: numbers diverge", workers)
+		}
+		if !reflect.DeepEqual(got.numRanges, want.numRanges) || len(got.numRanges) != len(got.numbers) {
+			t.Errorf("workers=%d: numRanges diverge", workers)
+		}
+		if !reflect.DeepEqual(got.names, want.names) {
+			t.Errorf("workers=%d: name vectors diverge", workers)
+		}
+		if !reflect.DeepEqual(got.strCols, want.strCols) {
+			t.Errorf("workers=%d: string column order diverges", workers)
+		}
+		if got.dict.Len() != want.dict.Len() {
+			t.Errorf("workers=%d: dict sized %d, fresh %d", workers, got.dict.Len(), want.dict.Len())
+		}
+		for id := 0; id < got.dict.Len(); id++ {
+			if got.dict.Gram(uint32(id)) != want.dict.Gram(uint32(id)) {
+				t.Fatalf("workers=%d: dict diverges at id %d: %q vs %q",
+					workers, id, got.dict.Gram(uint32(id)), want.dict.Gram(uint32(id)))
 			}
-			if !reflect.DeepEqual(got.colOrder, want.colOrder) {
-				t.Errorf("exhaustive=%v workers=%d: colOrder diverges", exhaustive, workers)
-			}
-			if !reflect.DeepEqual(got.numbers, want.numbers) {
-				t.Errorf("exhaustive=%v workers=%d: numbers diverge", exhaustive, workers)
-			}
-			if !reflect.DeepEqual(got.numRanges, want.numRanges) {
-				t.Errorf("exhaustive=%v workers=%d: numRanges diverge", exhaustive, workers)
-			}
-			if !reflect.DeepEqual(got.names, want.names) {
-				t.Errorf("exhaustive=%v workers=%d: name vectors diverge", exhaustive, workers)
-			}
-			if !reflect.DeepEqual(got.strCols, want.strCols) {
-				t.Errorf("exhaustive=%v workers=%d: string column order diverges", exhaustive, workers)
-			}
-			if got.dict.Len() != want.dict.Len() {
-				t.Errorf("exhaustive=%v workers=%d: dict sized %d, fresh %d",
-					exhaustive, workers, got.dict.Len(), want.dict.Len())
-			}
-			for id := 0; id < got.dict.Len(); id++ {
-				if got.dict.Gram(uint32(id)) != want.dict.Gram(uint32(id)) {
-					t.Fatalf("exhaustive=%v workers=%d: dict diverges at id %d: %q vs %q",
-						exhaustive, workers, id, got.dict.Gram(uint32(id)), want.dict.Gram(uint32(id)))
-				}
-			}
-			if exhaustive {
-				if got.index != nil {
-					t.Error("exhaustive layer built a candidate index")
-				}
-			} else {
-				if got.index == nil {
-					t.Fatal("indexed layer missing its candidate index")
-				}
-				if !reflect.DeepEqual(got.colDense, want.colDense) {
-					t.Errorf("workers=%d: dense column mapping diverges", workers)
-				}
-			}
-			if got.Target() != updated {
-				t.Error("layer not bound to the updated schema")
-			}
+		}
+		if got.index == nil {
+			t.Fatal("layer missing its candidate index")
+		}
+		if !reflect.DeepEqual(got.colDense, want.colDense) {
+			t.Errorf("workers=%d: dense column mapping diverges", workers)
+		}
+		if got.Target() != updated {
+			t.Error("layer not bound to the updated schema")
 		}
 	}
 }
@@ -134,7 +139,7 @@ func TestCanUpdate(t *testing.T) {
 	}
 	e := NewEngine()
 	base, _, _ := updateFixture()
-	if !e.PrecomputeTargetParallel(base, tokenize.NewDict(), 2).CanUpdate() {
+	if !e.UpdateTargetFeatures(nil, base, tokenize.NewDict(), nil, 2).CanUpdate() {
 		t.Error("fresh parallel build not updatable")
 	}
 }
@@ -144,7 +149,7 @@ func TestCanUpdate(t *testing.T) {
 func TestUpdateTargetFeaturesNilSchema(t *testing.T) {
 	e := NewEngine()
 	base, _, _ := updateFixture()
-	old := e.PrecomputeTargetParallel(base, tokenize.NewDict(), 1)
+	old := e.UpdateTargetFeatures(nil, base, tokenize.NewDict(), nil, 1)
 	tf := e.UpdateTargetFeatures(old, nil, tokenize.NewDict(), func(*relational.Table) bool { return false }, 1)
 	if tf.Columns() != 0 {
 		t.Errorf("nil schema produced %d columns", tf.Columns())

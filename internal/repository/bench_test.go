@@ -12,31 +12,38 @@ import (
 	"ctxmatch/internal/match"
 )
 
+// benchModes are the two ways the fleet benchmarks answer one query:
+// top-k retrieval plus k exact matches, and the exhaustive reference
+// (matchEvery) that exact-matches every catalog.
+var benchModes = []struct {
+	name string
+	run  func(tb testing.TB, f *Fleet, src *ctxmatch.Schema) *Report
+}{
+	{"retrieval", func(tb testing.TB, f *Fleet, src *ctxmatch.Schema) *Report {
+		rep, err := f.MatchAny(context.Background(), src, Query{K: 3})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return rep
+	}},
+	{"exhaustive", matchEvery},
+}
+
 // BenchmarkMatchAny measures the subsystem's reason to exist: answering
 // "which catalog matches this source?" over the eight-catalog fleet
 // (including the 10k-row fixture) via top-k retrieval plus k exact
-// matches, against the exhaustive baseline that matches every catalog.
+// matches, against the exhaustive reference that matches every catalog.
 func BenchmarkMatchAny(b *testing.B) {
 	if testing.Short() {
 		b.Skip("fleet fixture skipped in -short mode")
 	}
 	f := newTestFleet(b, 1)
 	src := sharedFleet(b).datasets["aaron-1"].Source
-	for _, mode := range []struct {
-		name string
-		q    Query
-	}{
-		{"retrieval", Query{K: 3}},
-		{"exhaustive", Query{Exhaustive: true}},
-	} {
+	for _, mode := range benchModes {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				rep, err := f.MatchAny(context.Background(), src, mode.q)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rep.Best() == nil {
+				if mode.run(b, f, src).Best() == nil {
 					b.Fatal("no winner")
 				}
 			}
@@ -106,21 +113,12 @@ func BenchmarkMatchAny32(b *testing.B) {
 	}
 	f := newTestFleet32(b, 1)
 	src := sharedFleet(b).datasets["aaron-1"].Source
-	for _, mode := range []struct {
-		name string
-		q    Query
-	}{
-		{"retrieval", Query{K: 3}},
-		{"exhaustive", Query{Exhaustive: true}},
-	} {
+	for _, mode := range benchModes {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var prunedFrac float64
 			for i := 0; i < b.N; i++ {
-				rep, err := f.MatchAny(context.Background(), src, mode.q)
-				if err != nil {
-					b.Fatal(err)
-				}
+				rep := mode.run(b, f, src)
 				if rep.Best() == nil {
 					b.Fatal("no winner")
 				}

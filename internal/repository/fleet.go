@@ -60,7 +60,9 @@ type Entry struct {
 
 	feats *match.TargetFeatures
 	// slot is the catalog's handle in the fleet's fused index, nil for
-	// unindexed catalogs. Guarded by the fleet's mutex like the fused
+	// a catalog without a candidate index — one holding no string
+	// column, which cannot be scored cheaply and therefore always
+	// survives retrieval. Guarded by the fleet's mutex like the fused
 	// index itself.
 	slot *tokenize.FusedSlot
 	// workers is the handle's own worker budget; cells sizes its sample
@@ -68,12 +70,6 @@ type Entry struct {
 	// survivor fan-out dispatches largest-first by.
 	workers, cells int
 }
-
-// Indexed reports whether the catalog carries a candidate index to
-// probe. A catalog prepared with an Exhaustive engine (or holding no
-// string columns) has none; it cannot be scored cheaply and therefore
-// always survives retrieval.
-func (e *Entry) Indexed() bool { return e.feats.Index() != nil }
 
 // Fleet is the cross-catalog retrieval index: the set of installed
 // catalog entries plus the registry-global fused index over their
@@ -334,16 +330,15 @@ const DefaultK = 3
 type Query struct {
 	// K is how many top-scoring catalogs survive retrieval and receive
 	// the exact prepared match; ≤ 0 means DefaultK. Catalogs without a
-	// candidate index always survive, beyond K.
+	// candidate index always survive, beyond K. A K at or above the
+	// catalog count matches every catalog: the top-k floor stays 0
+	// until K catalogs are scored, so nothing is pruned.
 	K int
 	// MinScore is the per-column cosine floor: a source column whose
 	// best cosine against a catalog falls below it contributes zero
 	// evidence. It is also the minimum WAND floor handed to the index,
 	// so raising it prunes more postings. Must be in [0, 1).
 	MinScore float64
-	// Exhaustive skips retrieval entirely and matches every catalog —
-	// the A/B baseline match-any is measured against.
-	Exhaustive bool
 }
 
 // CatalogScore is one catalog's retrieval outcome.
@@ -360,8 +355,9 @@ type CatalogScore struct {
 	// could not reach the current k-th best evidence, so its scan was
 	// cut short; Evidence is then a partial lower bound.
 	Pruned bool `json:"pruned,omitempty"`
-	// Unindexed reports the catalog carries no candidate index and
-	// therefore bypassed retrieval (it always survives).
+	// Unindexed reports the catalog carries no candidate index — it
+	// holds no string column — and therefore bypassed retrieval (it
+	// always survives).
 	Unindexed bool `json:"unindexed,omitempty"`
 	// Skipped reports the retrieval stage's deadline budget expired
 	// before this catalog was scored; it takes no part in survivor
@@ -374,8 +370,8 @@ type CatalogMatch struct {
 	// Name and Generation identify the matched catalog entry.
 	Name       string
 	Generation int
-	// Evidence is the catalog's retrieval score (0 in Exhaustive mode
-	// and for unindexed catalogs).
+	// Evidence is the catalog's retrieval score (0 for unindexed
+	// catalogs).
 	Evidence float64
 	// Score ranks the catalog: the sum of the confidences of the
 	// result's selected matches. Ties break by name.
@@ -421,7 +417,7 @@ type Report struct {
 	Ranked []CatalogMatch
 	// Retrieval holds every considered catalog's evidence score,
 	// survivors first in rank order, then pruned catalogs by name,
-	// then budget-skipped ones. Empty in Exhaustive mode.
+	// then budget-skipped ones.
 	Retrieval []CatalogScore
 	// Considered, Pruned and Matched count the catalogs the request
 	// touched: all installed, cut off by the advancing floor, and
@@ -497,47 +493,41 @@ func (f *Fleet) MatchAny(ctx context.Context, src *ctxmatch.Schema, q Query) (*R
 	}
 
 	sf := match.FeaturizeSource(src, budget(f.Entries()))
-	var entries, survivors []*Entry
-	var evidence map[string]float64
+	var entries []*Entry
+	var scores []CatalogScore
 	var keys *globalKeys
-	if q.Exhaustive {
-		entries = f.Entries()
-		survivors = entries
+	// The fused pass reads the unfrozen global dictionary and the slot
+	// table, so it runs under the read lock; the exact matches below
+	// run on the immutable survivor snapshot outside it.
+	if f.mu.TryRLock() {
+		entries = f.entriesLocked()
+		scores, keys = f.fusedRetrieve(entries, sf, q.K, q.MinScore, retrieveDeadline)
+		f.mu.RUnlock()
 	} else {
-		var scores []CatalogScore
-		// The fused pass reads the unfrozen global dictionary and the
-		// slot table, so it runs under the read lock; the exact matches
-		// below run on the immutable survivor snapshot outside it.
-		if f.mu.TryRLock() {
-			entries = f.entriesLocked()
-			scores, keys = f.fusedRetrieve(entries, sf, q.K, q.MinScore, retrieveDeadline)
-			f.mu.RUnlock()
-		} else {
-			// A writer holds the fleet — an install, a removal, or a
-			// fused-index compaction. Rather than queue behind it into
-			// the request's deadline, serve this retrieval from the
-			// last published entry snapshot through the per-catalog
-			// path, which touches no fused state and returns the same
-			// survivors and evidence.
-			f.bypasses.Add(1)
-			entries = f.Entries()
-			scores = retrieve(entries, sf, q.K, q.MinScore, retrieveDeadline)
-		}
-		report.Retrieval = scores
-		evidence = make(map[string]float64, len(scores))
-		for _, cs := range scores {
-			switch {
-			case cs.Skipped:
-				report.skip(cs.Name, ReasonRetrieveBudget, "")
-			case cs.Pruned:
-				report.Pruned++
-			default:
-				evidence[cs.Name] = cs.Evidence
-			}
-		}
-		survivors = pickSurvivors(entries, scores, q.K)
+		// A writer holds the fleet — an install, a removal, or a
+		// fused-index compaction. Rather than queue behind it into the
+		// request's deadline, serve this retrieval from the last
+		// published entry snapshot through the per-catalog path, which
+		// touches no fused state and returns the same survivors and
+		// evidence.
+		f.bypasses.Add(1)
+		entries = f.Entries()
+		scores = retrieve(entries, sf, q.K, q.MinScore, retrieveDeadline)
 	}
+	report.Retrieval = scores
 	report.Considered = len(entries)
+	evidence := make(map[string]float64, len(scores))
+	for _, cs := range scores {
+		switch {
+		case cs.Skipped:
+			report.skip(cs.Name, ReasonRetrieveBudget, "")
+		case cs.Pruned:
+			report.Pruned++
+		default:
+			evidence[cs.Name] = cs.Evidence
+		}
+	}
+	survivors := pickSurvivors(entries, scores, q.K)
 
 	outs := f.matchSurvivors(ctx, src, sf, keys, survivors, deadline)
 	for i, e := range survivors {
@@ -627,10 +617,7 @@ func (f *Fleet) matchSurvivors(ctx context.Context, src *ctxmatch.Schema, sf *ma
 			outs[i].reason = ReasonDeadline
 			return
 		}
-		mctx := ctx
-		if e.Indexed() {
-			mctx = core.WithSourceProjection(ctx, keys.project(sf, e))
-		}
+		mctx := core.WithSourceProjection(ctx, keys.project(sf, e))
 		t := e.Target
 		if inner != e.workers {
 			t = t.WithParallelism(inner)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"ctxmatch"
 	"ctxmatch/internal/datagen"
 	"ctxmatch/internal/match"
+	"ctxmatch/internal/relational"
 )
 
 // fleetSpec is one catalog of the shared test fleet. The eight specs
@@ -87,6 +89,71 @@ func newTestFleet(t testing.TB, workers int) *Fleet {
 	return f
 }
 
+// matchEvery is the exhaustive reference for MatchAny: the exact
+// prepared match of src against every installed catalog — no
+// retrieval, no pruning, no shared source projection — ranked the way
+// MatchAny ranks its survivors. Retrieval may only skip catalogs that
+// cannot win, so MatchAny's winner and its edges must equal this
+// report's.
+func matchEvery(t testing.TB, f *Fleet, src *ctxmatch.Schema) *Report {
+	t.Helper()
+	rep := &Report{}
+	for _, e := range f.Entries() {
+		res, err := e.Target.Match(context.Background(), src)
+		if err != nil {
+			t.Fatalf("match %s: %v", e.Name, err)
+		}
+		rep.Ranked = append(rep.Ranked, CatalogMatch{
+			Name: e.Name, Generation: e.Generation, Score: aggregateScore(res), Result: res,
+		})
+	}
+	slices.SortStableFunc(rep.Ranked, rankCatalogMatches)
+	rep.Considered, rep.Matched = len(rep.Ranked), len(rep.Ranked)
+	return rep
+}
+
+// numericOnlyTarget prepares barrett-1's catalog cut down to its
+// numeric columns: a catalog with no string column, hence no candidate
+// index, which retrieval cannot score and always lets through.
+func numericOnlyTarget(t testing.TB) *ctxmatch.Target {
+	t.Helper()
+	var tables []*relational.Table
+	for _, tt := range sharedFleet(t).datasets["barrett-1"].Target.Tables {
+		var attrs []relational.Attribute
+		var cols []int
+		for i, a := range tt.Attrs {
+			if a.Type.Domain() == relational.DomainNumber {
+				attrs = append(attrs, a)
+				cols = append(cols, i)
+			}
+		}
+		if len(attrs) == 0 {
+			continue
+		}
+		nt := relational.NewTable(tt.Name, attrs...)
+		for _, row := range tt.Rows {
+			out := make(relational.Tuple, len(cols))
+			for j, i := range cols {
+				out[j] = row[i]
+			}
+			nt.Append(out)
+		}
+		tables = append(tables, nt)
+	}
+	m, err := ctxmatch.New(ctxmatch.WithSeed(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgt, err := m.Prepare(context.Background(), relational.NewSchema("numeric-only", tables...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tgt.Prepared().Features().Index() != nil {
+		t.Fatal("numeric-only catalog built a candidate index")
+	}
+	return tgt
+}
+
 // winningEdges renders the report's best match as the canonical JSON of
 // its selected edges — the bit-identity token the acceptance property
 // compares across modes and worker counts.
@@ -106,8 +173,8 @@ func winningEdges(t *testing.T, rep *Report) (string, string) {
 // TestMatchAnyAgreesWithExhaustive is the subsystem's acceptance
 // property: over the eight-catalog fleet (including the 10k-scale
 // fixture), retrieval-pruned match-any returns the same winning catalog
-// as exhaustively matching every catalog, with bit-identical winning
-// edges, at one and at eight workers.
+// as exhaustively matching every catalog (matchEvery), with
+// bit-identical winning edges, at one and at eight workers.
 func TestMatchAnyAgreesWithExhaustive(t *testing.T) {
 	sources := []string{"aaron-1", "barrett-2", "ryan-10k"}
 	for _, srcName := range sources {
@@ -118,18 +185,17 @@ func TestMatchAnyAgreesWithExhaustive(t *testing.T) {
 			for _, workers := range []int{1, 8} {
 				f := newTestFleet(t, workers)
 				for _, exhaustive := range []bool{false, true} {
-					rep, err := f.MatchAny(context.Background(), src, Query{K: 3, Exhaustive: exhaustive})
-					if err != nil {
-						t.Fatalf("workers=%d exhaustive=%v: %v", workers, exhaustive, err)
+					rep := matchEvery(t, f, src)
+					if !exhaustive {
+						var err error
+						if rep, err = f.MatchAny(context.Background(), src, Query{K: 3}); err != nil {
+							t.Fatalf("workers=%d: %v", workers, err)
+						}
 					}
 					if rep.Considered != len(fleetSpecs) {
 						t.Fatalf("considered %d catalogs, want %d", rep.Considered, len(fleetSpecs))
 					}
-					if exhaustive {
-						if rep.Matched != len(fleetSpecs) || rep.Pruned != 0 || rep.Retrieval != nil {
-							t.Fatalf("exhaustive report ran retrieval: %+v", rep)
-						}
-					} else {
+					if !exhaustive {
 						if rep.Matched > 3 {
 							t.Fatalf("retrieval matched %d catalogs, want ≤ 3", rep.Matched)
 						}
@@ -311,23 +377,14 @@ func TestMatchAnyEmptyFleet(t *testing.T) {
 	}
 }
 
-// TestUnindexedCatalogAlwaysSurvives installs one catalog prepared with
-// an Exhaustive engine (no candidate index) into a fleet with k=1: the
+// TestUnindexedCatalogAlwaysSurvives installs one catalog with only
+// numeric columns (no candidate index) into a fleet with k=1: the
 // unindexed catalog must bypass retrieval, be flagged, and still get an
 // exact match — beyond the k budget.
 func TestUnindexedCatalogAlwaysSurvives(t *testing.T) {
 	fx := sharedFleet(t)
-	eng := match.NewEngine()
-	eng.Exhaustive = true
-	m, err := ctxmatch.New(ctxmatch.WithEngine(eng), ctxmatch.WithSeed(5))
-	if err != nil {
-		t.Fatal(err)
-	}
 	ds := fx.datasets["barrett-1"]
-	plain, err := m.Prepare(context.Background(), ds.Target)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := numericOnlyTarget(t)
 
 	f := NewFleet()
 	f.Installed("indexed-a", 1, fx.targets["aaron-1"])
@@ -471,13 +528,16 @@ func TestEvictionDuringMatchAny(t *testing.T) {
 	}
 }
 
-// TestMatchAnyTokenizesSourceOnce: however many catalogs survive, and
-// whether retrieval runs on the fused index, on the per-catalog path
-// behind a parked writer, or not at all (Exhaustive), one match-any
-// tokenizes each source string column exactly once — retrieval and
-// every survivor's exact match read projections of that one pass.
+// TestMatchAnyTokenizesSourceOnce: however many catalogs survive —
+// including one with no string column, which always survives and is
+// projected into like any other — and whether retrieval runs on the
+// fused index or on the per-catalog path behind a parked writer, one
+// match-any tokenizes each source string column exactly once:
+// retrieval and every survivor's exact match read projections of that
+// one pass.
 func TestMatchAnyTokenizesSourceOnce(t *testing.T) {
 	f := newTestFleet(t, 2)
+	f.Installed("numeric-only", len(fleetSpecs)+1, numericOnlyTarget(t).WithParallelism(2))
 	for _, srcName := range []string{"aaron-1", "ryan-10k"} {
 		src := sharedFleet(t).datasets[srcName].Source
 		cols := len(match.FeaturizeSource(src, 1).Cols)
@@ -489,6 +549,9 @@ func TestMatchAnyTokenizesSourceOnce(t *testing.T) {
 				t.Errorf("%s %s: %d column tokenizations for %d string columns (%d catalogs matched)",
 					srcName, label, got, cols, rep.Matched)
 			}
+			if !slices.ContainsFunc(rep.Ranked, func(cm CatalogMatch) bool { return cm.Name == "numeric-only" }) {
+				t.Errorf("%s %s: the catalog without an index did not survive", srcName, label)
+			}
 		}
 		matchAny := func(q Query) func() *Report {
 			return func() *Report {
@@ -499,10 +562,9 @@ func TestMatchAnyTokenizesSourceOnce(t *testing.T) {
 				return rep
 			}
 		}
-		for _, k := range []int{1, 3, len(fleetSpecs)} {
+		for _, k := range []int{1, 3, len(fleetSpecs) + 1} {
 			count(fmt.Sprintf("k=%d", k), matchAny(Query{K: k}))
 		}
-		count("exhaustive", matchAny(Query{Exhaustive: true}))
 		f.mu.Lock()
 		count("bypass", matchAny(Query{K: 3}))
 		f.mu.Unlock()

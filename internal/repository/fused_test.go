@@ -161,7 +161,7 @@ func TestFusedIndexTracksRandomTraces(t *testing.T) {
 
 // TestMatchAnyFusedMatchesExhaustiveAfterChurn seals the trace property
 // end-to-end: after churn, the fused retrieval path and the exhaustive
-// path agree on the winner and its edges.
+// reference (matchEvery) agree on the winner and its edges.
 func TestMatchAnyFusedMatchesExhaustiveAfterChurn(t *testing.T) {
 	fx := sharedFleet(t)
 	f := newTestFleet(t, 1)
@@ -179,12 +179,8 @@ func TestMatchAnyFusedMatchesExhaustiveAfterChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exhaustive, err := f.MatchAny(context.Background(), src, Query{K: 2, Exhaustive: true})
-	if err != nil {
-		t.Fatal(err)
-	}
 	fn, fe := winningEdges(t, fused)
-	en, ee := winningEdges(t, exhaustive)
+	en, ee := winningEdges(t, matchEvery(t, f, src))
 	if fn != en || fe != ee {
 		t.Fatalf("after churn: fused winner %s, exhaustive %s", fn, en)
 	}

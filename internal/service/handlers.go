@@ -485,11 +485,7 @@ func (s *Server) handleMatchAny(w http.ResponseWriter, r *http.Request) {
 		s.writeMappedError(w, err, http.StatusBadRequest)
 		return
 	}
-	rep, err := s.fleet.MatchAny(r.Context(), source, repository.Query{
-		K:          req.K,
-		MinScore:   req.MinScore,
-		Exhaustive: req.Exhaustive,
-	})
+	rep, err := s.fleet.MatchAny(r.Context(), source, repository.Query{K: req.K, MinScore: req.MinScore})
 	if err != nil {
 		s.writeMappedError(w, err, http.StatusInternalServerError)
 		return

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -56,8 +58,8 @@ func postMatchAny(t *testing.T, ts *httptest.Server, req MatchAnyRequest) (int, 
 
 // TestMatchAnyEndpoint uploads three catalogs and checks the envelope:
 // retrieval scores for every catalog, ranked results with full Result
-// payloads, and the same winner (with identical edges) as exhaustive
-// mode and as a direct per-catalog match.
+// payloads, and the same winner (with identical edges) as a k that
+// matches every catalog and as a direct per-catalog match.
 func TestMatchAnyEndpoint(t *testing.T) {
 	ts, svc := newTestServer(t, nil)
 	src := putFleet(t, ts, 3)
@@ -79,20 +81,22 @@ func TestMatchAnyEndpoint(t *testing.T) {
 		t.Fatalf("matched = %d, want 1..2", got.Matched)
 	}
 
-	status, exh, body := postMatchAny(t, ts, MatchAnyRequest{Source: src, Exhaustive: true})
+	// k = the catalog count: the top-k floor stays 0 until every
+	// catalog is scored, so nothing is pruned and every catalog matches.
+	status, exh, body := postMatchAny(t, ts, MatchAnyRequest{Source: src, K: 3})
 	if status != http.StatusOK {
-		t.Fatalf("exhaustive status = %d: %s", status, body)
+		t.Fatalf("k=3 status = %d: %s", status, body)
 	}
-	if exh.Matched != 3 || exh.Retrieval != nil {
-		t.Fatalf("exhaustive envelope wrong: matched=%d retrieval=%v", exh.Matched, exh.Retrieval)
+	if exh.Matched != 3 || exh.Pruned != 0 {
+		t.Fatalf("k=3 envelope wrong: matched=%d pruned=%d", exh.Matched, exh.Pruned)
 	}
 	if got.Catalogs[0].Name != exh.Catalogs[0].Name {
-		t.Fatalf("retrieval winner %q != exhaustive winner %q", got.Catalogs[0].Name, exh.Catalogs[0].Name)
+		t.Fatalf("k=2 winner %q != k=3 winner %q", got.Catalogs[0].Name, exh.Catalogs[0].Name)
 	}
 	a, _ := json.Marshal(got.Catalogs[0].Result.Matches)
 	b, _ := json.Marshal(exh.Catalogs[0].Result.Matches)
 	if !bytes.Equal(a, b) {
-		t.Fatalf("winning edges differ between retrieval and exhaustive mode")
+		t.Fatalf("winning edges differ between k=2 and k=3")
 	}
 
 	// The winner's payload is bit-identical to matching that catalog
@@ -411,5 +415,132 @@ func TestListReportsMatchCounts(t *testing.T) {
 	}
 	if len(list.Catalogs) != 1 || list.Catalogs[0].Matches != 2 {
 		t.Fatalf("list = %+v, want fleet0 with 2 matches", list.Catalogs)
+	}
+}
+
+// FuzzMatchAnyRequest drives POST /v1/match-any with arbitrary bodies
+// under arbitrary content types, against a server holding one small
+// catalog. A body may match (200), be rejected (400) or be shed by
+// admission (429); a 5xx or a panic is a bug. A body that still carries
+// the retired "exhaustive" knob decodes like any other unknown field.
+func FuzzMatchAnyRequest(f *testing.F) {
+	m, err := ctxmatch.New(ctxmatch.WithSeed(1), ctxmatch.WithParallelism(2))
+	if err != nil {
+		f.Fatal(err)
+	}
+	svc, err := New(Config{Matcher: m, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	if err != nil {
+		f.Fatal(err)
+	}
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	ds := datagen.Inventory(datagen.InventoryConfig{
+		Rows: 20, TargetRows: 30, Gamma: 3, Target: datagen.Ryan, Seed: 1,
+	})
+	cat, err := DocFromSchema(ds.Target)
+	if err != nil {
+		f.Fatal(err)
+	}
+	up, err := json.Marshal(cat)
+	if err != nil {
+		f.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/catalogs/inv", bytes.NewReader(up))
+	if err != nil {
+		f.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		f.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		f.Fatalf("installing fixture catalog: status = %d", resp.StatusCode)
+	}
+	src, err := DocFromSchema(ds.Source)
+	if err != nil {
+		f.Fatal(err)
+	}
+	srcJSON, err := json.Marshal(src)
+	if err != nil {
+		f.Fatal(err)
+	}
+
+	f.Add([]byte(src.Tables[0].CSV), "text/csv")
+	f.Add([]byte(`{"source":`+string(srcJSON)+`,"k":2,"min_score":0.05}`), "application/json")
+	f.Add([]byte(`{"source":`+string(srcJSON)+`,"exhaustive":true}`), "application/json; charset=utf-8")
+	f.Add([]byte(`{"source":{"tables":[]},"min_score":1.5}`), "application/json")
+	f.Add([]byte(`{"source":{"tables":[{"name":"s","csv":"a:string\nv"}]},"k":-3}`), "application/json")
+	f.Add([]byte(`not json at all`), "application/json")
+	f.Add([]byte{}, "")
+
+	f.Fuzz(func(t *testing.T, body []byte, contentType string) {
+		if strings.ContainsFunc(contentType, func(r rune) bool { return r != '\t' && (r < ' ' || r == 0x7f) }) {
+			t.Skip("the client refuses to send control bytes in a header value")
+		}
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/match-any", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", contentType)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		switch resp.StatusCode {
+		case http.StatusOK, http.StatusBadRequest, http.StatusTooManyRequests:
+		default:
+			t.Fatalf("POST match-any %q (%q): status = %d, want 200, 400 or 429", body, contentType, resp.StatusCode)
+		}
+	})
+}
+
+// TestMatchAnyIgnoresExhaustive: the retired "exhaustive" field is an
+// unknown field like any other — a body carrying it gets exactly the
+// response the same body without it gets.
+func TestMatchAnyIgnoresExhaustive(t *testing.T) {
+	ts, _ := newTestServer(t, nil)
+	src := putFleet(t, ts, 3)
+	doc, err := json.Marshal(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canonical := func(body string) []byte {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/match-any", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status = %d: %s", resp.StatusCode, raw)
+		}
+		var out MatchAnyResponse
+		if err := json.Unmarshal(raw, &out); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range out.Catalogs {
+			c.Result.Elapsed = 0
+		}
+		b, _ := json.Marshal(out)
+		return b
+	}
+	plain := canonical(`{"source":` + string(doc) + `,"k":1}`)
+	legacy := canonical(`{"source":` + string(doc) + `,"k":1,"exhaustive":true}`)
+	if !bytes.Equal(plain, legacy) {
+		t.Fatalf("exhaustive:true changed the response:\n%s\nvs\n%s", legacy, plain)
+	}
+	var out MatchAnyResponse
+	if err := json.Unmarshal(legacy, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Matched != 1 {
+		t.Fatalf("k=1 with exhaustive:true matched %d catalogs, want 1", out.Matched)
 	}
 }

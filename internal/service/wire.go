@@ -207,15 +207,13 @@ type MatchAnyRequest struct {
 	// Source is the schema to match against every installed catalog.
 	Source SchemaDoc `json:"source"`
 	// K is how many top-scoring catalogs receive the exact prepared
-	// match; 0 means the server default (3).
+	// match; 0 means the server default (3). A K at or above the
+	// catalog count matches every catalog.
 	K int `json:"k,omitempty"`
 	// MinScore is the per-column evidence floor in [0, 1): source
 	// columns whose best cosine against a catalog falls below it
 	// contribute no evidence. Raising it prunes more aggressively.
 	MinScore float64 `json:"min_score,omitempty"`
-	// Exhaustive skips retrieval and matches every catalog — the A/B
-	// baseline.
-	Exhaustive bool `json:"exhaustive,omitempty"`
 }
 
 // MatchAnyCatalog is one ranked catalog of a match-any response.
@@ -223,8 +221,8 @@ type MatchAnyCatalog struct {
 	// Name and Generation identify the catalog entry that was matched.
 	Name       string `json:"name"`
 	Generation int    `json:"generation"`
-	// Evidence is the catalog's retrieval score (0 in exhaustive mode
-	// and for catalogs without a candidate index).
+	// Evidence is the catalog's retrieval score (0 for catalogs without
+	// a candidate index).
 	Evidence float64 `json:"evidence"`
 	// Score ranks the catalog: the sum of the confidences of its
 	// result's selected matches.
@@ -241,8 +239,7 @@ type MatchAnyCatalog struct {
 type MatchAnyResponse struct {
 	Catalogs []MatchAnyCatalog `json:"catalogs"`
 	// Retrieval lists every considered catalog's evidence (survivors
-	// first in rank order, pruned catalogs last); absent in exhaustive
-	// mode.
+	// first in rank order, pruned catalogs last).
 	Retrieval []repository.CatalogScore `json:"retrieval,omitempty"`
 	// Considered, Pruned and Matched count the installed catalogs, the
 	// ones the top-k floor cut off, and the ones exact-matched.

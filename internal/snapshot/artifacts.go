@@ -205,7 +205,10 @@ func encodeMeta(e *enc, a *Artifacts) error {
 	e.i64(int64(o.Parallelism))
 
 	e.f64(a.Engine.EvidenceScale)
-	e.boolean(a.Engine.Exhaustive)
+	// Reserved: the retired exhaustive-engine flag, written as 0 so
+	// format version 1 stays byte-identical; readers reject any other
+	// value.
+	e.u8(0)
 	e.u32(uint32(len(a.Engine.Matchers)))
 	for _, m := range a.Engine.Matchers {
 		switch m := m.(type) {
@@ -245,7 +248,9 @@ func decodeMeta(d *dec, a *Artifacts) error {
 
 	eng := &match.Engine{}
 	eng.EvidenceScale = d.f64()
-	eng.Exhaustive = d.boolean()
+	if flag := d.u8(); flag != 0 {
+		return errUnsupportedf("engine flag byte %d: exhaustive-engine snapshots are no longer readable", flag)
+	}
 	nm := int(d.u32())
 	for i := 0; i < nm && d.err() == nil; i++ {
 		switch tag := d.u8(); tag {

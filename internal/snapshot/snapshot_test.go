@@ -1,0 +1,233 @@
+package snapshot_test
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"os"
+	"testing"
+
+	"ctxmatch"
+	"ctxmatch/internal/relational"
+	"ctxmatch/internal/snapshot"
+)
+
+// smallCatalog is a hand-built two-table catalog of a few rows mixing
+// string, numeric and boolean columns: small enough that its snapshot
+// is a few KB, rich enough that the snapshot carries every section —
+// the candidate index, numeric ranges and classifiers of all three
+// domains.
+func smallCatalog() *relational.Schema {
+	books := relational.NewTable("books",
+		relational.Attribute{Name: "title", Type: relational.Text},
+		relational.Attribute{Name: "price", Type: relational.Real},
+		relational.Attribute{Name: "instock", Type: relational.Bool},
+	)
+	for _, r := range []struct {
+		title string
+		price float64
+		in    bool
+	}{
+		{"heart of darkness", 12.5, true},
+		{"leaves of grass", 9, false},
+		{"a secret history", 14.25, true},
+		{"the waves", 11, true},
+	} {
+		books.Append(relational.Tuple{relational.S(r.title), relational.F(r.price), relational.B(r.in)})
+	}
+	music := relational.NewTable("music",
+		relational.Attribute{Name: "album", Type: relational.Text},
+		relational.Attribute{Name: "price", Type: relational.Real},
+	)
+	for _, r := range []struct {
+		album string
+		price float64
+	}{
+		{"abbey road", 10},
+		{"hotel california", 11.5},
+		{"kind of blue", 8.75},
+	} {
+		music.Append(relational.Tuple{relational.S(r.album), relational.F(r.price)})
+	}
+	return relational.NewSchema("shop", books, music)
+}
+
+// writeSmall prepares smallCatalog under default options and returns
+// its snapshot.
+func writeSmall(t *testing.T) []byte {
+	t.Helper()
+	m, err := ctxmatch.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgt, err := m.Prepare(context.Background(), smallCatalog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := tgt.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// Container layout of format version 1: a 16-byte header (magic, u16
+// version, u32 section count, u32 reserved) and one 24-byte table entry
+// per section (u32 id, u32 CRC32, u64 offset, u64 length).
+const (
+	headerSize     = 16
+	tableEntrySize = 24
+	secMeta        = 1
+)
+
+// metaFlagOffset is where the meta section holds the byte that was the
+// exhaustive-engine flag: after ten option fields (tau, omega, early
+// disjuncts, inference, selection, significance, train fraction, max
+// depth, seed, parallelism — 65 bytes) and the f64 evidence scale.
+const metaFlagOffset = 65 + 8
+
+// section locates one section of a container: its table entry and its
+// payload.
+type section struct{ entry, off, n int }
+
+func sections(t *testing.T, data []byte) map[uint32]section {
+	t.Helper()
+	count := int(binary.LittleEndian.Uint32(data[8:]))
+	out := make(map[uint32]section, count)
+	for i := 0; i < count; i++ {
+		e := headerSize + i*tableEntrySize
+		out[binary.LittleEndian.Uint32(data[e:])] = section{
+			entry: e,
+			off:   int(binary.LittleEndian.Uint64(data[e+8:])),
+			n:     int(binary.LittleEndian.Uint64(data[e+16:])),
+		}
+	}
+	return out
+}
+
+// reseal recomputes a section's recorded CRC32 after its payload was
+// edited, so a reader gets past the checksum to the edited content.
+func reseal(data []byte, s section) {
+	binary.LittleEndian.PutUint32(data[s.entry+4:], crc32.ChecksumIEEE(data[s.off:s.off+s.n]))
+}
+
+// structured reports whether err wraps one of the codec's sentinels.
+func structured(err error) bool {
+	for _, s := range []error{snapshot.ErrFormat, snapshot.ErrVersion, snapshot.ErrChecksum, snapshot.ErrTruncated, snapshot.ErrUnsupported} {
+		if errors.Is(err, s) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestWriteReadWrite: writing what Read restored reproduces the
+// snapshot byte for byte, through the codec and through the public
+// handle alike.
+func TestWriteReadWrite(t *testing.T) {
+	data := writeSmall(t)
+	a, n, err := snapshot.Read(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != len(data) {
+		t.Errorf("Read reported %d bytes, snapshot has %d", n, len(data))
+	}
+	if !a.HasClassifiers || a.Features.Index() == nil {
+		t.Fatalf("small catalog lost a section: classifiers %v, index %v", a.HasClassifiers, a.Features.Index() != nil)
+	}
+	var again bytes.Buffer
+	if _, err := snapshot.Write(&again, a); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), data) {
+		t.Fatalf("Write(Read(s)) differs from s: %d vs %d bytes", again.Len(), len(data))
+	}
+	tgt, err := ctxmatch.LoadTarget(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	again.Reset()
+	if _, err := tgt.WriteSnapshot(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), data) {
+		t.Fatal("a loaded handle's snapshot differs from the one it was loaded from")
+	}
+}
+
+// TestFormerEngineFlagUnsupported: the meta byte that held the retired
+// exhaustive-engine flag is always written as 0, and a snapshot with it
+// set — CRC intact, so the checksum is not what fails — is content
+// this reader does not support.
+func TestFormerEngineFlagUnsupported(t *testing.T) {
+	data := writeSmall(t)
+	meta := sections(t, data)[secMeta]
+	if got := data[meta.off+metaFlagOffset]; got != 0 {
+		t.Fatalf("former engine flag written as %d, want 0", got)
+	}
+	data[meta.off+metaFlagOffset] = 1
+	reseal(data, meta)
+	_, _, err := snapshot.Read(bytes.NewReader(data))
+	if !errors.Is(err, snapshot.ErrUnsupported) {
+		t.Fatalf("flag set: %v, want ErrUnsupported", err)
+	}
+}
+
+// TestVersionAndChecksum: a changed format version fails with
+// ErrVersion, a flipped payload byte with ErrChecksum.
+func TestVersionAndChecksum(t *testing.T) {
+	data := writeSmall(t)
+	bumped := bytes.Clone(data)
+	binary.LittleEndian.PutUint16(bumped[6:], snapshot.Version+1)
+	if _, _, err := snapshot.Read(bytes.NewReader(bumped)); !errors.Is(err, snapshot.ErrVersion) {
+		t.Errorf("version %d: %v, want ErrVersion", snapshot.Version+1, err)
+	}
+	flipped := bytes.Clone(data)
+	meta := sections(t, flipped)[secMeta]
+	flipped[meta.off] ^= 0xff
+	if _, _, err := snapshot.Read(bytes.NewReader(flipped)); !errors.Is(err, snapshot.ErrChecksum) {
+		t.Errorf("flipped payload byte: %v, want ErrChecksum", err)
+	}
+}
+
+// TestEveryTruncationFails: every proper prefix of a snapshot fails
+// with a structured error, never a panic.
+func TestEveryTruncationFails(t *testing.T) {
+	data := writeSmall(t)
+	for n := 0; n < len(data); n++ {
+		_, _, err := snapshot.Read(bytes.NewReader(data[:n]))
+		if !structured(err) {
+			t.Fatalf("prefix of %d bytes: %v, want a structured error", n, err)
+		}
+	}
+}
+
+// TestGoldenV1Snapshot: testdata/v1-small.snap is smallCatalog prepared
+// under default options and written while the meta section still
+// carried the exhaustive-engine flag. It must load, and writing the
+// loaded handle must reproduce the file byte for byte — a check that
+// recomputes nothing, so it holds on any toolchain. Regenerate the file
+// only together with a format version bump.
+func TestGoldenV1Snapshot(t *testing.T) {
+	data, err := os.ReadFile("testdata/v1-small.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgt, err := ctxmatch.LoadTarget(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := tgt.Stats(); st.Tables != 2 || st.Rows != 7 || st.IndexPostings == 0 || st.Classifiers == 0 {
+		t.Fatalf("golden snapshot restored an unexpected catalog: %+v", st)
+	}
+	var buf bytes.Buffer
+	if _, err := tgt.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), data) {
+		t.Fatalf("rewritten golden snapshot differs: %d vs %d bytes", buf.Len(), len(data))
+	}
+}

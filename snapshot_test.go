@@ -8,7 +8,6 @@ import (
 
 	"ctxmatch"
 	"ctxmatch/internal/datagen"
-	"ctxmatch/internal/match"
 )
 
 // snapshotFixtures are the three datagen layouts every snapshot
@@ -30,22 +29,13 @@ func snapshotFixtures() map[string]*datagen.Dataset {
 // TestSnapshotRoundTripMatchesFreshPrepare is the snapshot subsystem's
 // correctness bar: a Target restored from its own snapshot must produce
 // Result edges byte-identical to the freshly-prepared handle — every
-// confidence bit — across all three fixtures, the exhaustive and the
-// indexed engine, and 1 and 8 workers.
+// confidence bit — across all three fixtures at 1 and 8 workers.
 func TestSnapshotRoundTripMatchesFreshPrepare(t *testing.T) {
 	for name, ds := range snapshotFixtures() {
 		t.Run(name, func(t *testing.T) {
-			type run struct {
-				workers    int
-				exhaustive bool
-			}
-			for _, r := range []run{
-				{1, true}, {1, false}, {8, true}, {8, false},
-			} {
-				eng := match.NewEngine()
-				eng.Exhaustive = r.exhaustive
+			type run struct{ workers int }
+			for _, r := range []run{{1}, {8}} {
 				m := mustNew(t,
-					ctxmatch.WithEngine(eng),
 					ctxmatch.WithParallelism(r.workers),
 					ctxmatch.WithSeed(5),
 				)

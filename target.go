@@ -58,13 +58,13 @@ type TargetStats struct {
 	// IndexPostings and IndexBytes size the inverted gram-ID candidate
 	// index over the catalog's string columns: the structure that lets
 	// scoring retrieve only target columns sharing grams with a source
-	// column instead of walking every pair. Zero when the handle was
-	// prepared with an Exhaustive engine.
+	// column instead of walking every pair. Zero when the catalog has
+	// no string column.
 	IndexPostings int
 	IndexBytes    int
 	// IndexHitRate is the lifetime fraction of (source column × indexed
 	// column) pairs the index could not prove scoreless — the share of
-	// the exhaustive cosine work matches through this handle actually
+	// the all-pairs cosine work matches through this handle actually
 	// perform. It starts at 0 and converges as traffic flows.
 	IndexHitRate float64
 	// SnapshotBytes is the size of the snapshot the handle was restored

@@ -39,24 +39,17 @@ func fixtureDelta(target *ctxmatch.Schema) ctxmatch.CatalogDelta {
 // TestUpdateMatchesFreshPrepare is the incremental-prepare correctness
 // bar: Target.Update must produce match results byte-identical — every
 // confidence bit — to a from-scratch Prepare of the updated catalog,
-// across all three fixtures, the exhaustive and the indexed engine, and
-// 1 and 8 workers. It also pins the "incremental" claim: the update
-// goes through the delta path (TargetUpdates advances) without a full
-// feature precompute (TargetPrecomputes does not).
+// across all three fixtures at 1 and 8 workers. It also pins the
+// "incremental" claim: the update goes through the delta path
+// (TargetUpdates advances) without a build from nothing
+// (TargetPrecomputes does not), while the fresh reference prepare is
+// exactly one build from nothing and no delta.
 func TestUpdateMatchesFreshPrepare(t *testing.T) {
 	for name, ds := range snapshotFixtures() {
 		t.Run(name, func(t *testing.T) {
-			type run struct {
-				workers    int
-				exhaustive bool
-			}
-			for _, r := range []run{
-				{1, true}, {1, false}, {8, true}, {8, false},
-			} {
-				eng := match.NewEngine()
-				eng.Exhaustive = r.exhaustive
+			type run struct{ workers int }
+			for _, r := range []run{{1}, {8}} {
 				m := mustNew(t,
-					ctxmatch.WithEngine(eng),
 					ctxmatch.WithParallelism(r.workers),
 					ctxmatch.WithSeed(5),
 				)
@@ -79,16 +72,20 @@ func TestUpdateMatchesFreshPrepare(t *testing.T) {
 
 				// A fresh matcher (fresh cache) prepares the updated schema
 				// from scratch — the bit-identity reference.
-				eng2 := match.NewEngine()
-				eng2.Exhaustive = r.exhaustive
 				m2 := mustNew(t,
-					ctxmatch.WithEngine(eng2),
 					ctxmatch.WithParallelism(r.workers),
 					ctxmatch.WithSeed(5),
 				)
+				precomputes, updates = match.TargetPrecomputes(), match.TargetUpdates()
 				fresh, err := m2.Prepare(context.Background(), updated.Schema())
 				if err != nil {
 					t.Fatalf("%+v: fresh Prepare of updated schema: %v", r, err)
+				}
+				if got := match.TargetPrecomputes() - precomputes; got != 1 {
+					t.Errorf("%+v: fresh Prepare performed %d builds from nothing, want 1", r, got)
+				}
+				if got := match.TargetUpdates() - updates; got != 0 {
+					t.Errorf("%+v: fresh Prepare performed %d delta rebuilds, want 0", r, got)
 				}
 
 				us, fs := updated.Stats(), fresh.Stats()
