@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -289,14 +292,10 @@ func BenchmarkPrepare10k(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotLoad times restoring the same 10k-row catalog
-// BenchmarkPrepare10k builds, from an in-memory snapshot — the
-// warm-restart path. The contrast between the two is the snapshot
-// subsystem's reason to exist: loading reconstructs every artifact by
-// reference to one contiguous buffer instead of re-scanning columns and
-// re-training classifiers, and must come in at least an order of
-// magnitude under the preparation it replaces.
-func BenchmarkSnapshotLoad(b *testing.B) {
+// prepared10k prepares the 10k-row catalog BenchmarkPrepare10k builds,
+// sequentially, and returns it with its snapshot.
+func prepared10k(b *testing.B) (*ctxmatch.Target, []byte) {
+	b.Helper()
 	if testing.Short() {
 		b.Skip("10k-catalog fixture skipped in -short mode (CI runs it in a dedicated profiled step)")
 	}
@@ -316,11 +315,60 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 	if _, err := prepared.WriteSnapshot(&buf); err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(int64(buf.Len()))
+	return prepared, buf.Bytes()
+}
+
+// BenchmarkSnapshotLoad times restoring the same 10k-row catalog
+// BenchmarkPrepare10k builds — the warm-restart path — from an
+// in-memory snapshot and from a file, the daemon's restore. The
+// contrast with preparing is the snapshot subsystem's reason to exist:
+// loading reconstructs every artifact by reference to one contiguous
+// buffer instead of re-scanning columns and re-training classifiers,
+// and must come in at least an order of magnitude under the
+// preparation it replaces.
+func BenchmarkSnapshotLoad(b *testing.B) {
+	_, snap := prepared10k(b)
+	b.Run("memory", func(b *testing.B) {
+		b.SetBytes(int64(len(snap)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := ctxmatch.LoadTarget(bytes.NewReader(snap)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("file", func(b *testing.B) {
+		path := filepath.Join(b.TempDir(), "catalog.snap")
+		if err := os.WriteFile(path, snap, 0o644); err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(snap)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			f, err := os.Open(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			_, err = ctxmatch.LoadTarget(f)
+			f.Close()
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkSnapshotWrite10k times serializing the 10k-row catalog into
+// io.Discard: the encoder alone, which a daemon pays on every persist
+// of a changed catalog.
+func BenchmarkSnapshotWrite10k(b *testing.B) {
+	prepared, snap := prepared10k(b)
+	b.SetBytes(int64(len(snap)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ctxmatch.LoadTarget(bytes.NewReader(buf.Bytes())); err != nil {
+		if _, err := prepared.WriteSnapshot(io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}

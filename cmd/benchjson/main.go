@@ -16,10 +16,11 @@
 //
 // re-measures on the baseline file's own fixture (so the numbers are
 // apples-to-apples regardless of -quick) and exits non-zero when
-// prepared_ns_op, prepare_ns, snapshot_load_ns, matchany_ns,
-// matchany32_ns, update_ns, prepared_allocs_op or cold_allocs_op
-// regresses more than -tolerance (default 25%) over the committed
-// baseline (wall-clock metrics use the wider -time-tolerance), or when
+// prepared_ns_op, prepare_ns, snapshot_load_ns, snapshot_write_ns,
+// matchany_ns, matchany32_ns, update_ns, prepared_allocs_op,
+// cold_allocs_op or snapshot_write_bytes_op regresses more than
+// -tolerance (default 25%) over the committed baseline (wall-clock
+// metrics use the wider -time-tolerance), or when
 // matchany_pruned_frac / matchany32_pruned_frac — the fraction of
 // fleet catalogs retrieval prunes at 8 and at 32 catalogs — or
 // update_vs_prepare_speedup — the factor by which a single-table delta
@@ -38,6 +39,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -83,6 +85,12 @@ type report struct {
 	// subsystem existed, which the compare gate skips.
 	SnapshotLoadNs int64 `json:"snapshot_load_ns"`
 	SnapshotBytes  int   `json:"snapshot_bytes"`
+	// SnapshotWriteNs and SnapshotWriteBytesOp time and weigh
+	// WriteSnapshot of the same catalog into io.Discard — the encoder a
+	// daemon pays on every persist. Zero in baselines recorded before
+	// they were, which the compare gate skips.
+	SnapshotWriteNs      int64 `json:"snapshot_write_ns,omitempty"`
+	SnapshotWriteBytesOp int64 `json:"snapshot_write_bytes_op,omitempty"`
 	// MatchAnyNs times fleet retrieval (top-k candidate catalogs via
 	// the floored postings scorer, exact match on survivors only) of one
 	// source over a MatchAnyCatalogs-catalog fleet, and
@@ -211,6 +219,13 @@ func main() {
 			exitOn(err)
 		}
 	})
+	snapWrite := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_, err := prepared.WriteSnapshot(io.Discard)
+			exitOn(err)
+		}
+	})
 	// Profile a separate run of the same hot loop *after* the
 	// measurement, so profiling overhead never leaks into the recorded
 	// (and -compare-gated) numbers while the profile still covers
@@ -245,6 +260,8 @@ func main() {
 			preparedNs:     prep.NsPerOp(),
 			prepareNs:      prepareNs,
 			snapshotLoadNs: snapLoad.NsPerOp(),
+			snapWriteNs:    snapWrite.NsPerOp(),
+			snapWriteBytes: snapWrite.AllocedBytesPerOp(),
 			matchAnyNs:     anyNs,
 			prunedFrac:     prunedFrac,
 			matchAny32Ns:   any32Ns,
@@ -314,6 +331,9 @@ func main() {
 		ResultBytes:    len(wire),
 		SnapshotLoadNs: snapLoad.NsPerOp(),
 		SnapshotBytes:  snapBuf.Len(),
+
+		SnapshotWriteNs:      snapWrite.NsPerOp(),
+		SnapshotWriteBytesOp: snapWrite.AllocedBytesPerOp(),
 
 		MatchAnyNs:         anyNs,
 		MatchAnyPrunedFrac: prunedFrac,
@@ -480,6 +500,8 @@ type measured struct {
 	preparedNs     int64
 	prepareNs      int64
 	snapshotLoadNs int64
+	snapWriteNs    int64
+	snapWriteBytes int64
 	matchAnyNs     int64
 	prunedFrac     float64
 	matchAny32Ns   int64
@@ -491,13 +513,15 @@ type measured struct {
 }
 
 // compare gates the regression-prone headline metrics against the
-// baseline: prepared_ns_op, prepare_ns, snapshot_load_ns, matchany_ns
-// and update_ns (the steady-state serving cost, the catalog onboarding
-// cost, the warm-restart cost, the fleet retrieval cost and the
-// incremental-update cost, gated with timeTol because wall clock
-// shifts with hardware), plus prepared_allocs_op and cold_allocs_op
-// (allocation discipline of the hot path and the full pipeline,
-// hardware-independent and gated with the strict allocTol), plus
+// baseline: prepared_ns_op, prepare_ns, snapshot_load_ns,
+// snapshot_write_ns, matchany_ns and update_ns (the steady-state
+// serving cost, the catalog onboarding cost, the warm-restart cost, the
+// persist cost, the fleet retrieval cost and the incremental-update
+// cost, gated with timeTol because wall clock shifts with hardware),
+// plus prepared_allocs_op, cold_allocs_op and snapshot_write_bytes_op
+// (allocation discipline of the hot path, the full pipeline and the
+// snapshot encoder, hardware-independent and gated with the strict
+// allocTol), plus
 // matchany_pruned_frac and update_vs_prepare_speedup gated downward —
 // a collapse in the fraction of catalogs retrieval prunes, or in the
 // factor by which a delta beats re-preparing, is a regression of the
@@ -525,11 +549,13 @@ func compare(baseline *report, now measured, timeTol, allocTol float64) int {
 	check("prepared_ns_op", baseline.PreparedNs, now.preparedNs, timeTol)
 	check("prepare_ns", baseline.PrepareNs, now.prepareNs, timeTol)
 	check("snapshot_load_ns", baseline.SnapshotLoadNs, now.snapshotLoadNs, timeTol)
+	check("snapshot_write_ns", baseline.SnapshotWriteNs, now.snapWriteNs, timeTol)
 	check("matchany_ns", baseline.MatchAnyNs, now.matchAnyNs, timeTol)
 	check("matchany32_ns", baseline.MatchAny32Ns, now.matchAny32Ns, timeTol)
 	check("update_ns", baseline.UpdateNs, now.updateNs, timeTol)
 	check("prepared_allocs_op", baseline.PrepAllocs, now.preparedAllocs, allocTol)
 	check("cold_allocs_op", baseline.ColdAllocs, now.coldAllocs, allocTol)
+	check("snapshot_write_bytes_op", baseline.SnapshotWriteBytesOp, now.snapWriteBytes, allocTol)
 	// Ratio metrics gate in the other direction: lower is worse. Both
 	// are same-machine ratios, so they gate with the strict tolerance
 	// even across hardware.

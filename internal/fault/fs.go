@@ -13,6 +13,8 @@ type File interface {
 	Sync() error
 	Close() error
 	Name() string
+	// Stat lets a reader size its buffer to the file before reading.
+	Stat() (os.FileInfo, error)
 }
 
 // FS is the filesystem surface of the snapshot store. OS is the real
@@ -159,3 +161,5 @@ func (x *injectFile) Sync() error {
 func (x *injectFile) Close() error { return x.f.Close() }
 
 func (x *injectFile) Name() string { return x.f.Name() }
+
+func (x *injectFile) Stat() (os.FileInfo, error) { return x.f.Stat() }

@@ -19,6 +19,7 @@ func ReadCSV(name string, r io.Reader) (*Table, error) {
 		return nil, fmt.Errorf("relational: reading CSV header: %w", err)
 	}
 	attrs := make([]Attribute, len(header))
+	seen := make(map[string]bool, len(header))
 	for i, h := range header {
 		n, ts, found := strings.Cut(h, ":")
 		a := Attribute{Name: strings.TrimSpace(n), Type: String}
@@ -32,6 +33,11 @@ func ReadCSV(name string, r io.Reader) (*Table, error) {
 		if a.Name == "" {
 			return nil, fmt.Errorf("relational: column %d has an empty name", i)
 		}
+		// Columns are addressed by name, so a repeated one is ambiguous.
+		if seen[a.Name] {
+			return nil, fmt.Errorf("relational: column %d repeats the name %q", i, a.Name)
+		}
+		seen[a.Name] = true
 		attrs[i] = a
 	}
 	t := NewTable(name, attrs...)

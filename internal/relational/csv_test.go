@@ -46,6 +46,7 @@ func TestReadCSVErrors(t *testing.T) {
 	}{
 		{"bad type", "a:blob\nx\n"},
 		{"empty column name", ":int\n1\n"},
+		{"duplicate column name", "a:int, a:text\n1,x\n"},
 		{"wrong arity", "a:int,b:int\n1\n"},
 		{"bad int", "a:int\nnotanumber\n"},
 		{"bad bool", "a:bool\nperhaps\n"},

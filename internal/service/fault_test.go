@@ -44,7 +44,9 @@ func scrapeMetric(t *testing.T, ts *httptest.Server, name string) float64 {
 // torn write (and separately a failed fsync) during an eager persist
 // must leave the previous snapshot bytes on disk intact and the entry
 // dirty for the drain-time flush — never a torn or zero-length file
-// under the final name.
+// under the final name. A persist streams the snapshot in several
+// writes, so the tear lands after bytes have already reached the temp
+// file.
 func TestTornWritePreservesOldSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	reg := fault.NewRegistry()
@@ -54,8 +56,12 @@ func TestTornWritePreservesOldSnapshot(t *testing.T) {
 	})
 	cat1, _ := fixtureDocs(t, 1)
 	cat2, _ := fixtureDocs(t, 2)
+	reg.Set("fs.write", fault.Plan{}) // counts writes, never fires
 	if status, _ := putCatalog(t, ts, "inv", cat1); status != http.StatusCreated {
 		t.Fatal("PUT failed")
+	}
+	if n := reg.Hits("fs.write"); n < 2 {
+		t.Fatalf("a clean persist issued %d writes, want at least 2", n)
 	}
 	path := snapshotPath(dir, "inv")
 	old, err := os.ReadFile(path)
@@ -63,9 +69,11 @@ func TestTornWritePreservesOldSnapshot(t *testing.T) {
 		t.Fatalf("snapshot not persisted: %v", err)
 	}
 
-	// Tear the very next file write: the re-prepare succeeds (persist
-	// failures never fail an upload) but the persist is deferred.
-	reg.Set("fs.write", fault.Plan{FailNth: 1, TornAfter: 32})
+	// Tear the next persist's second write: the re-prepare succeeds
+	// (persist failures never fail an upload) but the persist is
+	// deferred.
+	reg.Clear("fs.write")
+	reg.Set("fs.write", fault.Plan{FailNth: 2, TornAfter: 32})
 	if status, _ := putCatalog(t, ts, "inv", cat2); status != http.StatusOK {
 		t.Fatal("re-PUT failed")
 	}
@@ -81,6 +89,9 @@ func TestTornWritePreservesOldSnapshot(t *testing.T) {
 	}
 	if stale, _ := filepath.Glob(filepath.Join(dir, ".snap-*")); len(stale) != 0 {
 		t.Fatalf("torn write left temp litter: %v", stale)
+	}
+	if n := reg.Hits("fs.write"); n != 2 {
+		t.Fatalf("torn persist issued %d writes, want it to stop at the torn second", n)
 	}
 	if d := svc.Registry().Dirty(); len(d) != 1 {
 		t.Fatalf("dirty = %v, want the torn catalog", d)
@@ -208,6 +219,42 @@ func TestWarmRestartMatrix(t *testing.T) {
 	_, svc2 := newTestServer(t, func(c *Config) { c.SnapshotDir = dir })
 	if n, err := svc2.RestoreSnapshots(); err != nil || n != 2 {
 		t.Fatalf("second restore = %d, %v; want 2, nil", n, err)
+	}
+}
+
+// TestShortReadQuarantines: a restore whose read fails part-way — an
+// injected short read under the injecting filesystem, which sizes the
+// read from Stat like the real one — quarantines the file rather than
+// installing a catalog from a prefix.
+func TestShortReadQuarantines(t *testing.T) {
+	dir := t.TempDir()
+	seedTS, _ := newTestServer(t, func(c *Config) { c.SnapshotDir = dir })
+	cat, _ := fixtureDocs(t, 1)
+	if status, _ := putCatalog(t, seedTS, "inv", cat); status != http.StatusCreated {
+		t.Fatal("PUT failed")
+	}
+	path := snapshotPath(dir, "inv")
+
+	reg := fault.NewRegistry()
+	reg.Set("fs.read", fault.Plan{FailNth: 1, ShortRead: 100})
+	_, svc := newTestServer(t, func(c *Config) {
+		c.SnapshotDir = dir
+		c.Faults = reg
+	})
+	if n, err := svc.RestoreSnapshots(); err != nil || n != 0 {
+		t.Fatalf("restore under a short read = %d, %v; want 0, nil", n, err)
+	}
+	if reg.Hits("fs.read") == 0 {
+		t.Fatal("the restore never read through the injecting filesystem")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("short-read snapshot still in the restore set: %v", err)
+	}
+	if _, err := os.Stat(path + corruptSuffix); err != nil {
+		t.Errorf("short-read snapshot not quarantined: %v", err)
+	}
+	if _, ok := svc.Registry().Get("inv"); ok {
+		t.Error("a catalog was installed from a short read")
 	}
 }
 

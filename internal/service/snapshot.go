@@ -1,9 +1,9 @@
 package service
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -26,23 +26,30 @@ func snapshotPath(dir, name string) string {
 	return filepath.Join(dir, url.PathEscape(name)+".snap")
 }
 
-// persistSnapshot serializes the handle and writes it as name's *.snap
+// persistSnapshot streams the handle's snapshot into name's *.snap
 // file.
 func (s *Server) persistSnapshot(name string, t *ctxmatch.Target) error {
-	var buf bytes.Buffer
-	if _, err := t.WriteSnapshot(&buf); err != nil {
-		return fmt.Errorf("serializing %q: %w", name, err)
-	}
-	return s.persistRaw(name, buf.Bytes())
+	return s.persist(name, func(w io.Writer) error {
+		_, err := t.WriteSnapshot(w)
+		return err
+	})
 }
 
-// persistRaw atomically and durably replaces name's *.snap file with
-// data. The bytes land in a temp file in the same directory, are
-// fsynced there, and only then renamed over the target, followed by an
-// fsync of the directory so the rename itself survives a crash. At
+// persistRaw replaces name's *.snap file with data.
+func (s *Server) persistRaw(name string, data []byte) error {
+	return s.persist(name, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
+
+// persist atomically and durably replaces name's *.snap file with what
+// write produces. The bytes land in a temp file in the same directory,
+// are fsynced there, and only then renamed over the target, followed by
+// an fsync of the directory so the rename itself survives a crash. At
 // every step a crash (or an injected fault) leaves the previous
 // snapshot intact — a restore never sees a torn file.
-func (s *Server) persistRaw(name string, data []byte) error {
+func (s *Server) persist(name string, write func(io.Writer) error) error {
 	dir := s.cfg.SnapshotDir
 	path := snapshotPath(dir, name)
 	tmp, err := s.fs.CreateTemp(dir, ".snap-*")
@@ -50,7 +57,7 @@ func (s *Server) persistRaw(name string, data []byte) error {
 		return fmt.Errorf("writing %q: %w", path, err)
 	}
 	tmpName := tmp.Name()
-	_, err = tmp.Write(data)
+	err = write(tmp)
 	if err == nil {
 		// The data must be durable before the rename publishes it:
 		// rename-before-fsync can surface a zero-length or torn file

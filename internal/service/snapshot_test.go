@@ -4,10 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"testing"
+
+	"ctxmatch"
+	"ctxmatch/internal/datagen"
 )
 
 func getBytes(t *testing.T, url string) (int, []byte) {
@@ -196,4 +201,91 @@ func TestFlushSnapshots(t *testing.T) {
 	if d := svc.Registry().Dirty(); len(d) != 0 {
 		t.Errorf("dirty after flush: %v", d)
 	}
+}
+
+// FuzzCatalogPut drives PUT /v1/catalogs/{name} with arbitrary bodies
+// under arbitrary content types, on a server that persists every
+// upload. A body may be prepared (201 first, 200 on replace), rejected
+// (400, 413) or shed by admission (429); a 5xx or a panic is a bug.
+// After every upload the persisted snapshot must load from its file and
+// rewrite to the same bytes, so the snapshot encoder meets whatever
+// prepared content the fuzzer can reach.
+func FuzzCatalogPut(f *testing.F) {
+	dir := f.TempDir()
+	m, err := ctxmatch.New(ctxmatch.WithSeed(1), ctxmatch.WithParallelism(2))
+	if err != nil {
+		f.Fatal(err)
+	}
+	svc, err := New(Config{Matcher: m, SnapshotDir: dir, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	if err != nil {
+		f.Fatal(err)
+	}
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	ds := datagen.Inventory(datagen.InventoryConfig{
+		Rows: 20, TargetRows: 30, Gamma: 3, Target: datagen.Ryan, Seed: 1,
+	})
+	cat, err := DocFromSchema(ds.Target)
+	if err != nil {
+		f.Fatal(err)
+	}
+	doc, err := json.Marshal(cat)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(doc, "application/json")
+	f.Add([]byte(cat.Tables[0].CSV), "text/csv")
+	f.Add([]byte("title:text,price:real,instock:bool\nheart of darkness,12.5,true\n,NaN,\n-0,-0,false\n"), "text/csv; charset=utf-8")
+	f.Add([]byte(`{"tables":[{"name":"a","csv":"x:int\n1\n2"},{"name":"a","csv":"y:text\nz"}]}`), "application/json")
+	f.Add([]byte(`{"tables":[]}`), "application/json")
+	f.Add([]byte(`not json at all`), "application/json")
+	f.Add([]byte("no header\n1,2"), "")
+	f.Add([]byte("2,2"), "") // repeated column names: rejected, not persisted unloadable
+	f.Add([]byte{}, "")
+
+	path := snapshotPath(dir, "fuzz")
+	f.Fuzz(func(t *testing.T, body []byte, contentType string) {
+		if strings.ContainsFunc(contentType, func(r rune) bool { return r != '\t' && (r < ' ' || r == 0x7f) }) {
+			t.Skip("the client refuses to send control bytes in a header value")
+		}
+		req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/catalogs/fuzz", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", contentType)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		switch resp.StatusCode {
+		case http.StatusOK, http.StatusCreated:
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusTooManyRequests:
+			return
+		default:
+			t.Fatalf("PUT %q (%q): status = %d, want 200, 201, 400, 413 or 429", body, contentType, resp.StatusCode)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("PUT %q: snapshot not persisted: %v", body, err)
+		}
+		file, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := ctxmatch.LoadTarget(file)
+		file.Close()
+		if err != nil {
+			t.Fatalf("PUT %q: persisted snapshot does not load: %v", body, err)
+		}
+		var again bytes.Buffer
+		if _, err := loaded.WriteSnapshot(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), data) {
+			t.Fatalf("PUT %q: the loaded snapshot rewrites to %d bytes, the file has %d", body, again.Len(), len(data))
+		}
+	})
 }

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"io"
+	"io/fs"
 
 	"ctxmatch/internal/classify"
 	"ctxmatch/internal/match"
@@ -49,72 +50,62 @@ type Artifacts struct {
 // ErrUnsupported before anything is written to w.
 func Write(w io.Writer, a *Artifacts) (int64, error) {
 	var cw writer
-	e := cw.section(secMeta)
-	if err := encodeMeta(e, a); err != nil {
+	if err := encodeMeta(cw.section(secMeta), a); err != nil {
 		return 0, err
 	}
-	cw.finish(e)
-
-	e = cw.section(secSchema)
-	if err := encodeSchema(e, a.Schema); err != nil {
+	if err := encodeSchema(cw.section(secSchema), a.Schema); err != nil {
 		return 0, err
 	}
-	cw.finish(e)
-
-	e = cw.section(secDict)
-	encodeDict(e, a.Dict)
-	cw.finish(e)
-
+	encodeDict(cw.section(secDict), a.Dict)
 	raw, err := a.Features.ExportRaw()
 	if err != nil {
 		return 0, errFormatf("features: %v", err)
 	}
-	e = cw.section(secFeatures)
-	encodeFeatures(e, raw)
-	cw.finish(e)
-
+	encodeFeatures(cw.section(secFeatures), raw)
 	if raw.Index != nil {
-		e = cw.section(secIndex)
-		encodeIndex(e, raw.Index)
-		cw.finish(e)
+		encodeIndex(cw.section(secIndex), raw.Index)
 	}
-
 	if a.HasClassifiers {
-		e = cw.section(secClassifiers)
-		if err := encodeClassifiers(e, a); err != nil {
+		if err := encodeClassifiers(cw.section(secClassifiers), a); err != nil {
 			return 0, err
 		}
-		cw.finish(e)
 	}
 	return cw.writeTo(w)
 }
 
-// readAll slurps r into one exactly-sized buffer when the reader can
-// say how much is coming (bytes.Reader/Buffer, strings.Reader, and
-// anything else with a Len() — the common restore paths), avoiding
+// readAll slurps r into one buffer sized up front when the reader can
+// say how much is coming: Len() for in-memory readers (bytes.Reader,
+// strings.Reader), Stat() of a regular file for files. That avoids
 // io.ReadAll's growth-doubling copies, which would otherwise dominate
-// the load: for a catalog snapshot the decode itself is mostly
-// zero-copy aliasing of this very buffer. Readers without a length hint
-// (files, network bodies) fall back to io.ReadAll.
+// the load: for a catalog snapshot the decode itself is mostly zero-copy
+// aliasing of this very buffer. Like os.ReadFile it then reads to EOF,
+// growing only if the hint was short, so a file that changes size under
+// the read still comes back whole; readers without a hint start small.
 func readAll(r io.Reader) ([]byte, error) {
-	type lener interface{ Len() int }
-	l, ok := r.(lener)
-	if !ok {
-		return io.ReadAll(r)
+	size := 0
+	switch x := r.(type) {
+	case interface{ Len() int }:
+		size = x.Len()
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := x.Stat(); err == nil && fi.Mode().IsRegular() && int64(int(fi.Size())) == fi.Size() {
+			size = int(fi.Size())
+		}
 	}
-	buf := make([]byte, l.Len())
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
+	// One byte past the hint, so the read that meets EOF needs no growth.
+	data := make([]byte, 0, max(size+1, 512))
+	for {
+		n, err := r.Read(data[len(data):cap(data)])
+		data = data[:len(data)+n]
+		if err == io.EOF {
+			return data, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(data) == cap(data) {
+			data = append(data, 0)[:len(data)]
+		}
 	}
-	// Len() reported the unread remainder, so this read must hit EOF;
-	// trailing bytes mean a misbehaving reader — let ReadAll gather them
-	// so the container check sees everything.
-	if rest, err := io.ReadAll(r); err != nil {
-		return nil, err
-	} else if len(rest) > 0 {
-		return append(buf, rest...), nil
-	}
-	return buf, nil
 }
 
 // Read deserializes one snapshot container from r and returns the
@@ -322,10 +313,21 @@ func encodeSchema(e *enc, s *relational.Schema) error {
 		// numeric values packed in row order, and the string values
 		// packed into one offset-addressed blob.
 		for j := range t.Attrs {
+			// Sized exactly, so each array is one allocation; long
+			// ones go out by reference.
+			var nNum, nStr, size int
+			for _, row := range t.Rows {
+				if v := row[j]; v.IsString() {
+					nStr++
+					size += len(v.Str())
+				} else if !v.IsNull() {
+					nNum++
+				}
+			}
 			kinds := make([]byte, len(t.Rows))
-			var nums []float64
-			soff := []uint32{0}
-			var blob []byte
+			nums := make([]float64, 0, nNum)
+			soff := make([]uint32, 1, nStr+1)
+			blob := make([]byte, 0, size)
 			for ri, row := range t.Rows {
 				v := row[j]
 				switch {

@@ -7,22 +7,38 @@ import (
 )
 
 // hostLittleEndian reports whether the running machine stores multi-byte
-// integers little-endian — the precondition for reconstructing []uint32
-// and []float64 slices directly over the snapshot buffer instead of
-// decoding element by element.
+// integers little-endian — the precondition for writing []uint32 and
+// []float64 slices from their own memory and reconstructing them
+// directly over the snapshot buffer, instead of encoding and decoding
+// element by element.
 var hostLittleEndian = func() bool {
 	x := uint16(1)
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// enc appends the little-endian wire encoding of one section payload.
+// enc accumulates the little-endian wire encoding of one section
+// payload as an ordered list of chunks. Scalars and short arrays are
+// appended to an open run. A byte blob of at least byRefMin bytes, and
+// on little-endian hosts a numeric array of that size, becomes a chunk
+// of its own that aliases the caller's live slice, so writing a
+// catalog's bulk tables copies nothing until the bytes reach the
+// destination writer. The aliased slices must stay unchanged until the
+// container is written.
+//
 // Array payloads are 8-byte aligned relative to the payload start;
 // since the container places every payload at an 8-byte-aligned file
 // offset, the arrays land aligned in the loaded buffer and the decoder
 // can alias them zero-copy.
 type enc struct {
-	buf []byte
+	chunks [][]byte // sealed chunks, in payload order
+	sealed int      // total length of chunks
+	buf    []byte   // the open run
 }
+
+// byRefMin is the smallest array the encoder appends by reference
+// rather than copying into the open run: below it, a separate chunk
+// costs more (one more write call on the destination) than the copy.
+const byRefMin = 4 << 10
 
 func (e *enc) u8(v uint8)   { e.buf = append(e.buf, v) }
 func (e *enc) u32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
@@ -40,11 +56,33 @@ func (e *enc) boolean(v bool) {
 	}
 }
 
+// seal closes a non-empty open run into a chunk. The next run reuses
+// its spare capacity; appends there never touch the sealed bytes.
+func (e *enc) seal() {
+	if len(e.buf) > 0 {
+		e.chunks = append(e.chunks, e.buf)
+		e.sealed += len(e.buf)
+		e.buf = e.buf[len(e.buf):]
+	}
+}
+
 // align8 pads the payload to the next 8-byte boundary.
 func (e *enc) align8() {
-	for len(e.buf)%8 != 0 {
+	for (e.sealed+len(e.buf))%8 != 0 {
 		e.buf = append(e.buf, 0)
 	}
+}
+
+// raw appends b to the payload: by reference when it is at least
+// byRefMin bytes long, copied into the open run otherwise.
+func (e *enc) raw(b []byte) {
+	if len(b) < byRefMin {
+		e.buf = append(e.buf, b...)
+		return
+	}
+	e.seal()
+	e.chunks = append(e.chunks, b)
+	e.sealed += len(b)
 }
 
 // str writes a length-prefixed string.
@@ -56,27 +94,26 @@ func (e *enc) str(s string) {
 // bytes writes a length-prefixed raw byte blob.
 func (e *enc) bytes(b []byte) {
 	e.u32(uint32(len(b)))
-	e.buf = append(e.buf, b...)
+	e.raw(b)
 }
 
-// u32s writes a length-prefixed flat little-endian []uint32 array,
-// 8-byte aligned.
-func (e *enc) u32s(v []uint32) {
-	e.u32(uint32(len(v)))
-	e.align8()
-	for _, x := range v {
-		e.u32(x)
-	}
-}
+// u32s and f64s write a length-prefixed flat little-endian array
+// (floats bit-exact), 8-byte aligned.
+func (e *enc) u32s(v []uint32)  { putArray(e, v) }
+func (e *enc) f64s(v []float64) { putArray(e, v) }
 
-// f64s writes a length-prefixed flat little-endian []float64 array
-// (bit-exact), 8-byte aligned.
-func (e *enc) f64s(v []float64) {
+// putArray writes v's length, pads to 8 bytes, then v. On little-endian
+// hosts v's memory already is its encoding and goes out as is;
+// elsewhere it is encoded element by element.
+func putArray[T uint32 | float64](e *enc, v []T) {
 	e.u32(uint32(len(v)))
 	e.align8()
-	for _, x := range v {
-		e.f64(x)
+	if !hostLittleEndian {
+		// Cannot fail: v is a slice of fixed-size numbers.
+		e.buf, _ = binary.Append(e.buf, binary.LittleEndian, v)
+		return
 	}
+	e.raw(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*int(unsafe.Sizeof(v[0]))))
 }
 
 // dec reads one section payload with a sticky error: after the first

@@ -92,7 +92,7 @@ const maxSections = 64
 
 type section struct {
 	id      uint32
-	payload []byte
+	payload *enc
 }
 
 // writer assembles a container from section payloads.
@@ -100,52 +100,57 @@ type writer struct {
 	sections []section
 }
 
-// section opens a new section; the returned encoder's buffer becomes
-// the payload.
+// section opens a new section whose payload the returned encoder
+// accumulates.
 func (w *writer) section(id uint32) *enc {
-	w.sections = append(w.sections, section{id: id})
-	return &enc{}
+	e := &enc{}
+	w.sections = append(w.sections, section{id: id, payload: e})
+	return e
 }
 
-// finish stores the encoder's buffer as the payload of the most
-// recently opened section.
-func (w *writer) finish(e *enc) {
-	w.sections[len(w.sections)-1].payload = e.buf
-}
-
-// writeTo lays the container out and writes it: header, section table,
-// then every payload at the next 8-byte-aligned offset.
+// writeTo lays the container out and writes it straight to out: header
+// and section table, then every payload's chunks at the next
+// 8-byte-aligned offset. No write is empty, so each write call carries
+// bytes.
 func (w *writer) writeTo(out io.Writer) (int64, error) {
-	var buf bytes.Buffer
-	buf.Write(magic[:])
-	buf.WriteByte(byte(Version))
-	buf.WriteByte(byte(Version >> 8))
 	var head enc
+	head.buf = append(head.buf, magic[:]...)
+	head.buf = append(head.buf, byte(Version), byte(Version>>8))
 	head.u32(uint32(len(w.sections)))
 	head.u32(0) // reserved
-	buf.Write(head.buf)
 
-	offset := uint64(headerSize + tableEntrySize*len(w.sections))
-	var table enc
-	pads := make([]int, len(w.sections))
-	for i, s := range w.sections {
-		pad := int((8 - offset%8) % 8)
-		offset += uint64(pad)
-		pads[i] = pad
-		table.u32(s.id)
-		table.u32(crc32.ChecksumIEEE(s.payload))
-		table.u64(offset)
-		table.u64(uint64(len(s.payload)))
-		offset += uint64(len(s.payload))
-	}
-	buf.Write(table.buf)
 	var zeros [8]byte
-	for i, s := range w.sections {
-		buf.Write(zeros[:pads[i]])
-		buf.Write(s.payload)
+	parts := [][]byte{nil} // the header and table, once complete
+	offset := uint64(headerSize + tableEntrySize*len(w.sections))
+	for _, s := range w.sections {
+		if pad := (8 - offset%8) % 8; pad > 0 {
+			parts = append(parts, zeros[:pad])
+			offset += pad
+		}
+		p := s.payload
+		p.seal()
+		var crc uint32
+		for _, c := range p.chunks {
+			crc = crc32.Update(crc, crc32.IEEETable, c)
+		}
+		head.u32(s.id)
+		head.u32(crc)
+		head.u64(offset)
+		head.u64(uint64(p.sealed))
+		offset += uint64(p.sealed)
+		parts = append(parts, p.chunks...)
 	}
-	n, err := out.Write(buf.Bytes())
-	return int64(n), err
+	parts[0] = head.buf
+
+	var written int64
+	for _, p := range parts {
+		n, err := out.Write(p)
+		written += int64(n)
+		if err != nil {
+			return written, err
+		}
+	}
+	return written, nil
 }
 
 // container is a parsed, checksum-verified snapshot buffer.

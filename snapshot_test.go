@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 
 	"ctxmatch"
@@ -175,4 +179,72 @@ func TestSnapshotDecoderStructuredErrors(t *testing.T) {
 			t.Errorf("err = %v, want ErrSnapshotTruncated", err)
 		}
 	})
+}
+
+// allocBytes reports the bytes f allocates per call, averaged over runs
+// calls. TotalAlloc counts every goroutine, so callers must not run in
+// parallel with other tests.
+func allocBytes(runs int, f func()) int64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return int64(after.TotalAlloc-before.TotalAlloc) / int64(runs)
+}
+
+// TestSnapshotCopyCounters gates snapshot I/O on the 10k-row catalog
+// by the bytes it allocates, which no hardware moves. Writing the
+// snapshot into io.Discard allocates under a quarter of its size: the
+// bulk tables go out by reference, not through intermediate buffers.
+// Loading it from a file allocates within 64 KiB of loading it from
+// memory: both read into one buffer sized up front.
+func TestSnapshotCopyCounters(t *testing.T) {
+	ds := datagen.Inventory(datagen.InventoryConfig{
+		Rows: 120, TargetRows: 500, Gamma: 4, Target: datagen.Ryan, Seed: 1,
+		Scale: 10, ExtraAttrs: 4, NoDistractors: true,
+	})
+	prepared, err := mustNew(t, ctxmatch.WithParallelism(1)).Prepare(context.Background(), ds.Target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := prepared.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	snap := buf.Bytes()
+	path := filepath.Join(t.TempDir(), "catalog.snap")
+	if err := os.WriteFile(path, snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	check := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const runs = 3
+	write := allocBytes(runs, func() {
+		_, err := prepared.WriteSnapshot(io.Discard)
+		check(err)
+	})
+	fromMemory := allocBytes(runs, func() {
+		_, err := ctxmatch.LoadTarget(bytes.NewReader(snap))
+		check(err)
+	})
+	fromFile := allocBytes(runs, func() {
+		f, err := os.Open(path)
+		check(err)
+		defer f.Close()
+		_, err = ctxmatch.LoadTarget(f)
+		check(err)
+	})
+	t.Logf("%d-byte snapshot: write allocates %d, load from memory %d, from a file %d", len(snap), write, fromMemory, fromFile)
+	if write >= int64(len(snap))/4 {
+		t.Errorf("writing a %d-byte snapshot allocates %d bytes, want under a quarter of it", len(snap), write)
+	}
+	if d := fromFile - fromMemory; d > 64<<10 {
+		t.Errorf("loading from a file allocates %d bytes more than from memory, want at most 64 KiB", d)
+	}
 }
