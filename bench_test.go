@@ -261,9 +261,10 @@ func BenchmarkPreparedMatch10k(b *testing.B) {
 
 // BenchmarkPrepare10k contrasts sequential and parallel PrepareTarget
 // on the 10k-row catalog: per-column feature extraction with the
-// deterministic dictionary merge, concurrent with per-domain classifier
-// training. A fresh Matcher per iteration keeps the artifact cache
-// cold, so every iteration pays the full preparation bill.
+// deterministic dictionary merge, then the target classifiers compiled
+// from the column vectors. A fresh Matcher per iteration keeps the
+// artifact cache cold, so every iteration pays the full preparation
+// bill.
 func BenchmarkPrepare10k(b *testing.B) {
 	if testing.Short() {
 		b.Skip("10k-catalog fixture skipped in -short mode (CI runs it in a dedicated profiled step)")
@@ -534,11 +535,13 @@ func BenchmarkAblationDisjunctPolicy(b *testing.B) {
 // BenchmarkUpdate10k measures incremental prepare on the same
 // enterprise-scale fixture: a single-table delta applied through
 // Target.Update ("update") against preparing the updated catalog from
-// scratch ("reprepare"). The update/reprepare ratio is the number the
-// BENCH_*-update.json trajectory and its CI gate pin at ≥5x.
+// scratch ("reprepare"). cmd/benchjson records the same pair as
+// update_ns and update_prepare_ns; its compare gate fails when their
+// ratio, update_vs_prepare_speedup, falls more than -tolerance below
+// the committed baseline's.
 func BenchmarkUpdate10k(b *testing.B) {
 	if testing.Short() {
-		b.Skip("10k-catalog fixture skipped in -short mode (CI runs the benchjson update gate instead)")
+		b.Skip("10k-catalog fixture skipped in -short mode (CI runs it in a dedicated profiled step)")
 	}
 	ds := datagen.Inventory(datagen.InventoryConfig{
 		Rows: 120, TargetRows: 500, Gamma: 4, Target: datagen.Ryan, Seed: 1,

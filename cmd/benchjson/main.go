@@ -18,9 +18,9 @@
 // apples-to-apples regardless of -quick) and exits non-zero when
 // prepared_ns_op, prepare_ns, snapshot_load_ns, snapshot_write_ns,
 // matchany_ns, matchany32_ns, update_ns, prepared_allocs_op,
-// cold_allocs_op or snapshot_write_bytes_op regresses more than
-// -tolerance (default 25%) over the committed baseline (wall-clock
-// metrics use the wider -time-tolerance), or when
+// cold_allocs_op, snapshot_write_bytes_op or update_allocs_op regresses
+// more than -tolerance (default 25%) over the committed baseline
+// (wall-clock metrics use the wider -time-tolerance), or when
 // matchany_pruned_frac / matchany32_pruned_frac — the fraction of
 // fleet catalogs retrieval prunes at 8 and at 32 catalogs — or
 // update_vs_prepare_speedup — the factor by which a single-table delta
@@ -115,10 +115,13 @@ type report struct {
 	// catalog. UpdateVsPrepareSpeedup is their ratio, the figure the
 	// delta path exists to buy; the compare gate fails when it collapses
 	// below the baseline. Zero in baselines recorded before incremental
-	// prepare existed, which the compare gate skips.
+	// prepare existed, which the compare gate skips. UpdateAllocsOp
+	// counts the allocations of one such update; zero in baselines
+	// recorded before it was, which the compare gate skips.
 	UpdateNs               int64   `json:"update_ns,omitempty"`
 	UpdatePrepareNs        int64   `json:"update_prepare_ns,omitempty"`
 	UpdateVsPrepareSpeedup float64 `json:"update_vs_prepare_speedup,omitempty"`
+	UpdateAllocsOp         int64   `json:"update_allocs_op,omitempty"`
 }
 
 type fixture struct {
@@ -250,7 +253,7 @@ func main() {
 	// Incremental prepare: a single-table delta through Target.Update
 	// versus re-preparing the updated catalog from scratch, sized to the
 	// fixture's weight class like the fleet above.
-	updNs, updPrepNs, updSpeedup := benchUpdate(fx.TargetRows >= 500)
+	updNs, updAllocs, updPrepNs, updSpeedup := benchUpdate(fx.TargetRows >= 500)
 
 	if baseline != nil {
 		if *timeTolerance == 0 {
@@ -268,6 +271,7 @@ func main() {
 			pruned32Frac:   pruned32Frac,
 			updateNs:       updNs,
 			updateSpeedup:  updSpeedup,
+			updateAllocs:   updAllocs,
 			preparedAllocs: prep.AllocsPerOp(),
 			coldAllocs:     cold.AllocsPerOp(),
 		}, *timeTolerance, *tolerance))
@@ -346,6 +350,7 @@ func main() {
 		UpdateNs:               updNs,
 		UpdatePrepareNs:        updPrepNs,
 		UpdateVsPrepareSpeedup: updSpeedup,
+		UpdateAllocsOp:         updAllocs,
 	}
 
 	name := r.Date
@@ -456,10 +461,11 @@ func benchFleetQuery(fleet *repository.Fleet, src *ctxmatch.Schema, q repository
 // benchUpdate prepares a catalog, applies a single-table delta (one
 // table replaced with a row-changed copy) through Target.Update, and
 // times that against a from-scratch Prepare of the updated catalog with
-// a cold artifact cache. full selects the 10k-row enterprise fixture —
-// the scale where re-preparing on every table change stops being an
-// option; quick runs get a 4-pair miniature.
-func benchUpdate(full bool) (updateNs, prepareNs int64, speedup float64) {
+// a cold artifact cache, returning the update's ns/op and allocations
+// per op, the prepare's ns/op and their ratio. full selects the 10k-row
+// enterprise fixture — the scale where re-preparing on every table
+// change stops being an option; quick runs get a 4-pair miniature.
+func benchUpdate(full bool) (updateNs, updateAllocs, prepareNs int64, speedup float64) {
 	cfg := datagen.InventoryConfig{Rows: 80, TargetRows: 40, Gamma: 4, Target: datagen.Ryan, Seed: 1, Scale: 4}
 	if full {
 		cfg = datagen.InventoryConfig{Rows: 120, TargetRows: 500, Gamma: 4, Target: datagen.Ryan, Seed: 1, Scale: 10, ExtraAttrs: 4, NoDistractors: true}
@@ -476,6 +482,7 @@ func benchUpdate(full bool) (updateNs, prepareNs int64, speedup float64) {
 	updated, err := prepared.Update(context.Background(), delta)
 	exitOn(err)
 	upd := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			_, err := prepared.Update(context.Background(), delta)
 			exitOn(err)
@@ -490,7 +497,7 @@ func benchUpdate(full bool) (updateNs, prepareNs int64, speedup float64) {
 			exitOn(err)
 		}
 	})
-	return upd.NsPerOp(), reprep.NsPerOp(),
+	return upd.NsPerOp(), upd.AllocsPerOp(), reprep.NsPerOp(),
 		float64(reprep.NsPerOp()) / float64(max64(upd.NsPerOp(), 1))
 }
 
@@ -508,6 +515,7 @@ type measured struct {
 	pruned32Frac   float64
 	updateNs       int64
 	updateSpeedup  float64
+	updateAllocs   int64
 	preparedAllocs int64
 	coldAllocs     int64
 }
@@ -518,10 +526,10 @@ type measured struct {
 // serving cost, the catalog onboarding cost, the warm-restart cost, the
 // persist cost, the fleet retrieval cost and the incremental-update
 // cost, gated with timeTol because wall clock shifts with hardware),
-// plus prepared_allocs_op, cold_allocs_op and snapshot_write_bytes_op
-// (allocation discipline of the hot path, the full pipeline and the
-// snapshot encoder, hardware-independent and gated with the strict
-// allocTol), plus
+// plus prepared_allocs_op, cold_allocs_op, snapshot_write_bytes_op and
+// update_allocs_op (allocation discipline of the hot path, the full
+// pipeline, the snapshot encoder and the incremental update,
+// hardware-independent and gated with the strict allocTol), plus
 // matchany_pruned_frac and update_vs_prepare_speedup gated downward —
 // a collapse in the fraction of catalogs retrieval prunes, or in the
 // factor by which a delta beats re-preparing, is a regression of the
@@ -556,6 +564,7 @@ func compare(baseline *report, now measured, timeTol, allocTol float64) int {
 	check("prepared_allocs_op", baseline.PrepAllocs, now.preparedAllocs, allocTol)
 	check("cold_allocs_op", baseline.ColdAllocs, now.coldAllocs, allocTol)
 	check("snapshot_write_bytes_op", baseline.SnapshotWriteBytesOp, now.snapWriteBytes, allocTol)
+	check("update_allocs_op", baseline.UpdateAllocsOp, now.updateAllocs, allocTol)
 	// Ratio metrics gate in the other direction: lower is worse. Both
 	// are same-machine ratios, so they gate with the strict tolerance
 	// even across hardware.

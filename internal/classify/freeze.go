@@ -2,6 +2,8 @@ package classify
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"sync"
 
 	"ctxmatch/internal/relational"
@@ -29,23 +31,6 @@ type FrozenClassifier interface {
 	Labels() []string
 }
 
-// Freeze compiles a trained classifier into its immutable frozen form.
-// NaiveBayes vocab grams are interned into dict (which must still be
-// building); Gaussian and Majority ignore the dictionary. The live
-// classifier remains usable — Freeze only reads it.
-func Freeze(c Classifier, dict *tokenize.Dict) FrozenClassifier {
-	switch c := c.(type) {
-	case *NaiveBayes:
-		return c.Freeze(dict)
-	case *Gaussian:
-		return c.Freeze()
-	case *Majority:
-		return c.Freeze()
-	default:
-		panic("classify: Freeze of unknown classifier type")
-	}
-}
-
 // FrozenNaiveBayes is the compiled form of NaiveBayes: per-label log
 // priors plus a flat [gramID·L + label] log-likelihood table over the
 // dictionary's gram range, with a single out-of-vocabulary bucket for
@@ -68,45 +53,116 @@ type FrozenNaiveBayes struct {
 	scratch    sync.Pool
 }
 
-// Freeze compiles the classifier, interning its vocabulary into dict.
-func (nb *NaiveBayes) Freeze(dict *tokenize.Dict) *FrozenNaiveBayes {
-	f := &FrozenNaiveBayes{dict: dict, labels: nb.Labels(), trained: nb.examples > 0}
-	for gram := range nb.vocab {
-		dict.Intern(gram)
+// Column is one labelled training column of a target Naive Bayes: the
+// label its values carry, how many non-NULL values it holds, and the
+// trigram counts of those values summed into one vector keyed by the
+// dictionary the classifier compiles against.
+type Column struct {
+	Label  string
+	Values int
+	Grams  *tokenize.IDVector
+}
+
+// CompileNaiveBayes returns the frozen Naive Bayes that training a
+// NaiveBayes on every non-NULL value of cols, each labelled with its
+// column's label, and freezing it over dict would produce. Every
+// trained quantity is a count the columns already carry: a label's
+// examples are its columns' non-NULL values, its gram counts and total
+// their vectors' summed counts and mass, and the vocabulary the
+// distinct IDs across all vectors. Columns sharing a label are summed;
+// a label with no non-NULL value does not exist. All sums are
+// integer-valued float64s and exact in any order, and each table term
+// is computed with the same operations as the trained classifier's, so
+// the tables are bit-identical. Nothing is interned, so dict may
+// already be frozen; every vector ID must lie below dict.Len().
+func CompileNaiveBayes(dict *tokenize.Dict, cols []Column) *FrozenNaiveBayes {
+	type label struct {
+		name         string
+		values, mass float64
+		cols         []*tokenize.IDVector
 	}
-	L := len(f.labels)
-	f.logPrior = make([]float64, L)
-	f.oov = make([]float64, L)
-	f.tableGrams = dict.Len()
-	f.lik = make([]float64, f.tableGrams*L)
-	vocab := float64(len(nb.vocab)) + 1
+	byName := map[string]*label{}
+	seen := make([]bool, dict.Len())
+	var examples, vocab float64
+	for _, c := range cols {
+		l := byName[c.Label]
+		if l == nil {
+			l = &label{name: c.Label}
+			byName[c.Label] = l
+		}
+		l.values += float64(c.Values)
+		l.mass += c.Grams.Mass()
+		l.cols = append(l.cols, c.Grams)
+		examples += float64(c.Values)
+		for _, id := range c.Grams.IDs {
+			if !seen[id] {
+				seen[id] = true
+				vocab++
+			}
+		}
+	}
+	var labels []*label
+	for _, l := range byName {
+		if l.values > 0 {
+			labels = append(labels, l)
+		}
+	}
+	slices.SortFunc(labels, func(a, b *label) int { return strings.Compare(a.name, b.name) })
+
+	L := len(labels)
+	f := &FrozenNaiveBayes{
+		dict:       dict,
+		labels:     make([]string, L),
+		logPrior:   make([]float64, L),
+		oov:        make([]float64, L),
+		tableGrams: dict.Len(),
+		trained:    examples > 0,
+	}
 	totals := make([]float64, L)
-	for li, label := range f.labels {
-		// Precisely the terms NaiveBayes.Classify computes per label.
-		f.logPrior[li] = math.Log(nb.labelCounts[label] / nb.examples)
-		totals[li] = nb.gramTotals[label] + vocab
+	for li, l := range labels {
+		f.labels[li] = l.name
+		f.logPrior[li] = math.Log(l.values / examples)
+		totals[li] = l.mass + (vocab + 1)
 		f.oov[li] = math.Log(1 / totals[li])
 	}
-	// A gram a label never saw scores log((0+1)/total) — bit-for-bit the
-	// label's OOV term — so the table is sparse in disguise: default-fill
-	// every row with oov, then overwrite only the (gram, label) pairs the
-	// label counted. This pays Σ|per-label vocab| Log calls instead of
-	// tableGrams·L, which is what keeps freezing off the catalog-update
-	// critical path.
+	// A gram a label never saw scores log((0+1)/total), which is the
+	// label's OOV term bit for bit, so every row starts as a copy of oov
+	// and only the (gram, label) pairs a label counted are overwritten:
+	// Σ|per-label vocabulary| Log calls instead of tableGrams·L.
+	f.lik = make([]float64, f.tableGrams*L)
 	for gid := 0; gid < f.tableGrams; gid++ {
 		copy(f.lik[gid*L:(gid+1)*L], f.oov)
 	}
-	for li, label := range f.labels {
+	for li, l := range labels {
 		total := totals[li]
-		for gram, c := range nb.grams[label] {
-			f.lik[int(dict.Intern(gram))*L+li] = math.Log((c + 1) / total)
+		if len(l.cols) == 1 {
+			v := l.cols[0]
+			for k, id := range v.IDs {
+				f.lik[int(id)*L+li] = math.Log((v.Counts[k] + 1) / total)
+			}
+			continue
+		}
+		sum := map[uint32]float64{}
+		for _, v := range l.cols {
+			for k, id := range v.IDs {
+				sum[id] += v.Counts[k]
+			}
+		}
+		for id, c := range sum {
+			f.lik[int(id)*L+li] = math.Log((c + 1) / total)
 		}
 	}
+	f.initScratch()
+	return f
+}
+
+// initScratch sizes the pooled per-call score buffers to the label set.
+func (f *FrozenNaiveBayes) initScratch() {
+	L := len(f.labels)
 	f.scratch.New = func() any {
 		s := make([]float64, L)
 		return &s
 	}
-	return f
 }
 
 // Labels implements FrozenClassifier.

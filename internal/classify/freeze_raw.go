@@ -62,10 +62,7 @@ func RestoreNaiveBayes(dict *tokenize.Dict, raw *RawNaiveBayes) (*FrozenNaiveBay
 		tableGrams: raw.TableGrams,
 		trained:    raw.Trained,
 	}
-	f.scratch.New = func() any {
-		s := make([]float64, L)
-		return &s
-	}
+	f.initScratch()
 	return f, nil
 }
 

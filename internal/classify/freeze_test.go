@@ -80,8 +80,8 @@ func TestFrozenAgreesWithLive(t *testing.T) {
 }
 
 // TestFrozenSeesThroughLaterInterning pins the OOV contract: grams
-// interned into the shared dictionary *after* a classifier froze (e.g.
-// by the target feature build) must classify exactly like grams the
+// interned into the shared dictionary *after* a classifier froze, and
+// so beyond its likelihood table, must classify exactly like grams the
 // dictionary has never seen.
 func TestFrozenSeesThroughLaterInterning(t *testing.T) {
 	nb := NewNaiveBayes()

@@ -10,40 +10,19 @@ import (
 
 // targetArtifacts is everything PrepareTarget pins for one catalog: the
 // shared frozen gram dictionary, the ID-keyed column feature layer, and
-// (under TgtClassInfer) the trained per-domain target classifiers in
-// both live and compiled-frozen form. All fields are immutable once the
-// struct is published and therefore safe for concurrent readers.
+// (under TgtClassInfer) the per-domain target classifiers compiled into
+// the same ID space. All fields are immutable once the struct is
+// published and therefore safe for concurrent readers.
 type targetArtifacts struct {
 	dict  *tokenize.Dict
 	feats *match.TargetFeatures
-	tcls  *targetClassifiers
 	fcls  *frozenTargetClassifiers
-}
-
-// classifierDomains counts the trained per-domain target classifiers:
-// from the live set when the artifacts were built in-process, from the
-// frozen set alone when they were restored from a snapshot (which
-// carries no live classifiers).
-func (a *targetArtifacts) classifierDomains() int {
-	if a.tcls != nil {
-		return a.tcls.domains()
-	}
-	if a.fcls == nil {
-		return 0
-	}
-	n := 0
-	for _, c := range a.fcls.byDomain {
-		if c != nil {
-			n++
-		}
-	}
-	return n
 }
 
 // TargetCache memoizes the artifacts of a matching run that depend only
 // on the target schema — the shared gram dictionary, the precomputed
-// column features of the standard matcher, and the trained + frozen
-// per-domain target classifiers of TgtClassInfer (Figure 7) — so a
+// column features of the standard matcher, and the compiled per-domain
+// target classifiers of TgtClassInfer (Figure 7) — so a
 // long-lived Matcher serving many sources against one catalog pays for
 // them once instead of once per source table per call. Entries are
 // keyed by schema identity (pointer): the sample instance is assumed
@@ -76,8 +55,8 @@ type targetEntry struct {
 	arts *targetArtifacts
 	// clsOnce upgrades an entry first built without classifiers (a
 	// NaiveInfer/SrcClassInfer matcher sharing the cache with a
-	// TgtClassInfer one). The upgrade freezes into its own dictionary —
-	// classifier IDs never mix with feature IDs anyway.
+	// TgtClassInfer one) by compiling them from the entry's own feature
+	// layer, keyed by its dictionary.
 	clsOnce sync.Once
 }
 
@@ -114,29 +93,26 @@ func (c *TargetCache) entry(eng *match.Engine, tgt *relational.Schema) *targetEn
 // artifactsFor returns the pinned artifact set for tgt, computing it at
 // most once per (engine, schema); a cache miss builds with up to
 // workers goroutines (the built artifacts are bit-identical at any
-// worker count, so the cache key ignores it). needCls asks for trained
-// + frozen target classifiers (TgtClassInfer); an entry cached without
+// worker count, so the cache key ignores it). needCls asks for the
+// compiled target classifiers (TgtClassInfer); an entry cached without
 // them is upgraded in place, still at most once. A nil receiver
 // computes fresh without caching.
 func (c *TargetCache) artifactsFor(eng *match.Engine, tgt *relational.Schema, needCls bool, workers int) *targetArtifacts {
 	if c == nil {
-		return updateTargetArtifacts(eng, nil, tgt, nil, nil, needCls, workers)
+		return updateTargetArtifacts(eng, nil, tgt, nil, needCls, workers)
 	}
 	e := c.entry(eng, tgt)
-	e.once.Do(func() { e.arts = updateTargetArtifacts(eng, nil, tgt, nil, nil, needCls, workers) })
+	e.once.Do(func() { e.arts = updateTargetArtifacts(eng, nil, tgt, nil, needCls, workers) })
 	c.mu.Lock()
 	arts := e.arts
 	c.mu.Unlock()
 	if needCls && arts.fcls == nil {
 		e.clsOnce.Do(func() {
-			tcls := newTargetClassifiers(tgt, workers)
-			d := tokenize.NewDict()
-			fcls := tcls.freeze(d)
-			d.Freeze()
 			// Publish a fresh artifact struct so concurrent readers of the
 			// old one never observe mutation.
+			up := &targetArtifacts{dict: arts.dict, feats: arts.feats, fcls: compileTargetClassifiers(arts.feats)}
 			c.mu.Lock()
-			e.arts = &targetArtifacts{dict: e.arts.dict, feats: e.arts.feats, tcls: tcls, fcls: fcls}
+			e.arts = up
 			c.mu.Unlock()
 		})
 		c.mu.Lock()

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 
+	"ctxmatch/internal/classify"
 	"ctxmatch/internal/match"
 	"ctxmatch/internal/relational"
 )
@@ -53,5 +57,60 @@ func TestTargetCacheForget(t *testing.T) {
 	// A forgotten schema is recomputed, not resurrected.
 	if c.featuresFor(eng, s) == nil {
 		t.Error("featuresFor after Forget returned nil")
+	}
+}
+
+// TestTargetCacheUpgradesClassifiers: a cache entry first built without
+// classifiers (a NaiveInfer run) and later asked for them (a
+// TgtClassInfer run sharing the cache) compiles them from its own
+// feature layer: the TgtClassInfer results are byte-identical to those
+// of a cache that only ever served TgtClassInfer, and the upgraded
+// string classifier is keyed by the entry's feature dictionary, so the
+// tagger classifies from the request's projected gram IDs.
+func TestTargetCacheUpgradesClassifiers(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	src, tgt := invFixture(rng, 120, 4)
+	srcSchema := relational.NewSchema("RS", src)
+	eng := match.NewEngine()
+	run := func(cache *TargetCache, inf Inference) string {
+		t.Helper()
+		opt := DefaultOptions()
+		opt.Engine, opt.Cache, opt.Inference = eng, cache, inf
+		res, err := ContextMatch(context.Background(), srcSchema, tgt, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, m := range res.Matches {
+			fmt.Fprintf(&b, "M %v score=%.17g conf=%.17g\n", m, m.Score, m.Confidence)
+		}
+		for _, m := range res.Standard {
+			fmt.Fprintf(&b, "S %v score=%.17g conf=%.17g\n", m, m.Score, m.Confidence)
+		}
+		for _, c := range res.Candidates {
+			fmt.Fprintf(&b, "C %v conf=%.17g\n", c.Match, c.Match.Confidence)
+		}
+		return b.String()
+	}
+	shared := NewTargetCache()
+	run(shared, NaiveInfer)
+	if arts := shared.artifactsFor(eng, tgt, false, 1); arts.fcls != nil {
+		t.Fatal("NaiveInfer run cached classifiers")
+	}
+	got := run(shared, TgtClassInfer)
+	want := run(NewTargetCache(), TgtClassInfer)
+	if want == "" {
+		t.Fatal("empty result")
+	}
+	if got != want {
+		t.Errorf("upgraded cache entry diverged:\n got: %s\nwant: %s", got, want)
+	}
+	arts := shared.artifactsFor(eng, tgt, true, 1)
+	nb, ok := arts.fcls.byDomain[relational.DomainString].(*classify.FrozenNaiveBayes)
+	if !ok {
+		t.Fatal("upgraded entry has no string classifier")
+	}
+	if nb.Dict() != arts.feats.Dict() {
+		t.Error("upgraded string classifier is not keyed by the entry's feature dictionary")
 	}
 }

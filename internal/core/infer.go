@@ -8,7 +8,6 @@ import (
 	"ctxmatch/internal/classify"
 	"ctxmatch/internal/match"
 	"ctxmatch/internal/relational"
-	"ctxmatch/internal/tokenize"
 )
 
 // Candidate is one candidate view condition produced by
@@ -30,13 +29,13 @@ func InferCandidateViews(r *relational.Table, tgt *relational.Schema, hasMatches
 // inferCandidateViews is InferCandidateViews with an optional pre-built
 // frozen target classifier set. ContextMatch compiles fcls once per
 // prepared target (or takes it from the target cache) and shares it
-// across all per-table workers; nil trains and freezes fresh, which the
-// one-shot entry points rely on. proj, when non-nil, is the request's
-// source tokenization keyed into the prepared target's dictionary; the
-// target tagger classifies from it instead of re-tokenizing values.
-// Every call derives its own RNG from opt.Seed, so concurrent
-// per-table inference stays deterministic regardless of goroutine
-// interleaving.
+// across all per-table workers; nil builds the target's artifacts here,
+// which the one-shot entry points rely on. proj, when non-nil, is the
+// request's source tokenization keyed into the prepared target's
+// dictionary; the target tagger classifies from it instead of
+// re-tokenizing values. Every call derives its own RNG from opt.Seed,
+// so concurrent per-table inference stays deterministic regardless of
+// goroutine interleaving.
 func inferCandidateViews(r *relational.Table, tgt *relational.Schema, hasMatches bool, opt Options, fcls *frozenTargetClassifiers, proj *match.SourceProjection) []Candidate {
 	if !hasMatches {
 		return nil
@@ -54,7 +53,7 @@ func inferCandidateViews(r *relational.Table, tgt *relational.Schema, hasMatches
 		}, rng))
 	case TgtClassInfer:
 		if fcls == nil {
-			fcls = newTargetClassifiers(tgt, 1).freezeFresh()
+			fcls = updateTargetArtifacts(opt.engine(), nil, tgt, nil, true, 1).fcls
 		}
 		tagger := newTagger(fcls, proj)
 		return candidatesFromFamilies(clusteredViewGen(r, clusterConfig{
@@ -161,24 +160,7 @@ func (s *srcClassifier) Predict(_ int, v relational.Value) int {
 	return parseGroupLabel(label)
 }
 
-// targetClassifiers is the C_D^T infrastructure of Figure 7
-// (createTargetClassifier): one classifier per value domain D, trained on
-// every compatible attribute of the target schema with the label
-// "Table.attr". TgtClassInfer shares one instance across all (h, l)
-// pairs because target training is independent of the source.
-type targetClassifiers struct {
-	byDomain map[relational.Domain]classify.Classifier
-
-	// nbParts holds the per-table partial Naive Bayes classifiers the
-	// merged DomainString classifier was assembled from, keyed by table
-	// name (tables without a string attribute have no entry). A delta
-	// update reuses untouched tables' partials verbatim and retrains
-	// only the touched ones — the merge is exact (integer counts), so
-	// the reassembled classifier equals a from-scratch one bit for bit.
-	nbParts map[string]*classify.NaiveBayes
-}
-
-// targetClassifierTrainings counts classifier-set trainings — from
+// targetClassifierTrainings counts target classifier-set builds — from
 // nothing or by delta — process-wide, so tests can assert that
 // prepared-target matching performs zero classifier training.
 var targetClassifierTrainings atomic.Int64
@@ -188,181 +170,96 @@ var targetClassifierTrainings atomic.Int64
 // PreparedTarget contract: after PrepareTarget, matching must not train.
 func TargetClassifierTrainings() int64 { return targetClassifierTrainings.Load() }
 
-// classifierDomains lists the trainable domains in the canonical order
-// every training and freezing loop walks, so the dictionary interning
-// of frozen vocabularies is deterministic.
-var classifierDomains = []relational.Domain{
-	relational.DomainString, relational.DomainNumber, relational.DomainBool,
-}
-
-// newTargetClassifiers runs createTargetClassifier(D, RT) for every
-// domain with at least one compatible target attribute: the update of
-// an empty set, which trains everything.
-func newTargetClassifiers(tgt *relational.Schema, workers int) *targetClassifiers {
-	return (*targetClassifiers)(nil).update(tgt, nil, nil, workers)
-}
-
-// assemble publishes the fanned-out training results: string partials
-// recorded by table name and merged in schema order, numeric domain
-// classifiers stored when trained.
-func (tc *targetClassifiers) assemble(tgt *relational.Schema, parts []*classify.NaiveBayes, numeric [2]classify.Classifier) {
-	for i, t := range tgt.Tables {
-		if parts[i] != nil {
-			tc.nbParts[t.Name] = parts[i]
-		}
-	}
-	if nb := classify.MergeNaiveBayes(parts...); nb != nil {
-		tc.byDomain[relational.DomainString] = nb
-	}
-	for i, cls := range numeric {
-		if cls != nil {
-			tc.byDomain[classifierDomains[i+1]] = cls
-		}
-	}
-}
-
-// trainTableNB trains the string-domain Naive Bayes partial of one
-// table — every string attribute, in attribute order, labeled
-// "Table.attr" — or nil when the table has no string attribute.
-func trainTableNB(rt *relational.Table) *classify.NaiveBayes {
-	var nb *classify.NaiveBayes
-	for _, a := range rt.Attrs {
-		if !a.Type.Compatible(relational.DomainString) {
-			continue
-		}
-		if nb == nil {
-			nb = classify.NewNaiveBayes()
-		}
-		tag := rt.Name + "." + a.Name
-		i := rt.AttrIndex(a.Name)
-		for _, row := range rt.Rows {
-			if !row[i].IsNull() {
-				nb.Train(row[i], tag)
-			}
-		}
-	}
-	return nb
-}
-
-// update is the one training path of a classifier set. It derives the
-// set of an updated schema from the receiver, retraining only what the
-// delta touches: string partials of touched tables (untouched partials
-// are reused and re-merged in updated-schema order — exact), and
-// numeric domains only when some touched table (old or new side of the
-// delta) has a compatible attribute, because the Gaussian's
-// order-sensitive accumulator spans every table. Unaffected numeric
-// classifiers are shared by reference; classifiers are immutable after
-// training, so sharing is safe. A nil receiver trains every table and
-// domain from nothing, and touched and affected are not consulted.
-//
-// The string domain trains as one Naive Bayes partial per table, merged
-// exactly in schema order (labels are table-qualified, so per-label
-// state never crosses partials and the merge reproduces a one-pass
-// training bit for bit); the numeric domains train whole, in schema
-// order. All trainings are independent of each other, so they fan
-// across up to workers goroutines, and the assembled state is
-// bit-identical at any worker count.
-func (tc *targetClassifiers) update(updated *relational.Schema, touched func(*relational.Table) bool, affected func(relational.Domain) bool, workers int) *targetClassifiers {
-	targetClassifierTrainings.Add(1)
-	out := &targetClassifiers{
-		byDomain: map[relational.Domain]classify.Classifier{},
-		nbParts:  map[string]*classify.NaiveBayes{},
-	}
-	if updated == nil {
-		return out
-	}
-	nTables := len(updated.Tables)
-	parts := make([]*classify.NaiveBayes, nTables)
-	var numeric [2]classify.Classifier
-	match.ForEachIndex(nTables+len(numeric), workers, func(i int) {
-		if i < nTables {
-			if t := updated.Tables[i]; tc == nil || touched(t) {
-				parts[i] = trainTableNB(t)
-			} else {
-				parts[i] = tc.nbParts[t.Name]
-			}
-		} else {
-			dom := classifierDomains[i-nTables+1]
-			if tc == nil || affected(dom) {
-				numeric[i-nTables] = trainDomainClassifier(updated, dom)
-			} else if cls, ok := tc.byDomain[dom]; ok {
-				numeric[i-nTables] = cls
-			}
-		}
-	})
-	out.assemble(updated, parts, numeric)
-	return out
-}
-
-// trainDomainClassifier trains the one-domain classifier C_D^T of
-// Figure 7 over every compatible attribute of the target schema, in
-// schema order; nil when no attribute is compatible.
-func trainDomainClassifier(tgt *relational.Schema, domain relational.Domain) classify.Classifier {
-	var cls classify.Classifier
-	for _, rt := range tgt.Tables {
-		for _, a := range rt.Attrs {
-			if !a.Type.Compatible(domain) {
-				continue
-			}
-			if cls == nil {
-				if domain == relational.DomainString {
-					cls = classify.NewNaiveBayes()
-				} else {
-					cls = classify.NewGaussian()
-				}
-			}
-			tag := rt.Name + "." + a.Name
-			i := rt.AttrIndex(a.Name)
-			for _, row := range rt.Rows {
-				if !row[i].IsNull() {
-					cls.Train(row[i], tag)
-				}
-			}
-		}
-	}
-	return cls
-}
-
-// domains returns how many per-domain classifiers were trained, for
-// prepared-target introspection.
-func (tc *targetClassifiers) domains() int {
-	if tc == nil {
-		return 0
-	}
-	return len(tc.byDomain)
-}
-
-// frozenTargetClassifiers is the compiled, immutable form of
-// targetClassifiers: one frozen classifier per value domain, indexed by
-// relational.Domain, safe to share across every per-table worker of
-// every request against the prepared target. Tagging a value is a
+// frozenTargetClassifiers is the C_D^T infrastructure of Figure 7
+// (createTargetClassifier) in compiled form: one frozen classifier per
+// value domain D with a compatible target attribute, trained on every
+// such attribute with the label "Table.attr" and indexed by
+// relational.Domain. TgtClassInfer shares one set across all (h, l)
+// pairs and every request against the prepared target, because target
+// training is independent of the source. Tagging a value is a
 // zero-allocation slice walk (classify.FrozenClassifier) returning a
 // dense label index instead of a "Table.attr" string.
 type frozenTargetClassifiers struct {
 	byDomain [relational.DomainBool + 1]classify.FrozenClassifier
 }
 
-// freeze compiles every trained per-domain classifier, interning Naive
-// Bayes vocabularies into d (which must still be building). Domains
-// freeze in canonical order so vocabulary interning assigns the same
-// IDs on every run.
-func (tc *targetClassifiers) freeze(d *tokenize.Dict) *frozenTargetClassifiers {
+// compileTargetClassifiers builds the classifier set of feats' schema
+// from a built feature layer. The string domain's Naive Bayes compiles
+// from the layer's per-column gram counts — the instance evidence the
+// standard matcher already gathered — so no value is tokenized again;
+// the numeric and bool Gaussians train on the rows in schema order and
+// freeze. feats must be a layer UpdateTargetFeatures built.
+func compileTargetClassifiers(feats *match.TargetFeatures) *frozenTargetClassifiers {
+	targetClassifierTrainings.Add(1)
 	f := &frozenTargetClassifiers{}
-	for _, dom := range classifierDomains {
-		if cls, ok := tc.byDomain[dom]; ok {
-			f.byDomain[dom] = classify.Freeze(cls, d)
+	tgt := feats.Target()
+	if tgt == nil {
+		return f
+	}
+	var cols []classify.Column
+	for _, t := range tgt.Tables {
+		for _, a := range t.Attrs {
+			if a.Type.Domain() != relational.DomainString {
+				continue
+			}
+			c := classify.Column{Label: t.Name + "." + a.Name, Grams: feats.ColumnGrams(t, a.Name)}
+			i := t.AttrIndex(a.Name)
+			for _, row := range t.Rows {
+				if !row[i].IsNull() {
+					c.Values++
+				}
+			}
+			cols = append(cols, c)
+		}
+	}
+	if cols != nil {
+		f.byDomain[relational.DomainString] = classify.CompileNaiveBayes(feats.Dict(), cols)
+	}
+	for _, dom := range []relational.Domain{relational.DomainNumber, relational.DomainBool} {
+		if g := trainGaussian(tgt, dom); g != nil {
+			f.byDomain[dom] = g.Freeze()
 		}
 	}
 	return f
 }
 
-// freezeFresh is freeze into a private dictionary, for one-shot callers
-// with no prepared target.
-func (tc *targetClassifiers) freezeFresh() *frozenTargetClassifiers {
-	d := tokenize.NewDict()
-	f := tc.freeze(d)
-	d.Freeze()
-	return f
+// trainGaussian trains the one-domain classifier C_D^T of Figure 7 for
+// a numeric or bool domain over every compatible attribute of the
+// target schema, in schema order; nil when no attribute is compatible.
+func trainGaussian(tgt *relational.Schema, domain relational.Domain) *classify.Gaussian {
+	var g *classify.Gaussian
+	for _, rt := range tgt.Tables {
+		for _, a := range rt.Attrs {
+			if !a.Type.Compatible(domain) {
+				continue
+			}
+			if g == nil {
+				g = classify.NewGaussian()
+			}
+			tag := rt.Name + "." + a.Name
+			i := rt.AttrIndex(a.Name)
+			for _, row := range rt.Rows {
+				if !row[i].IsNull() {
+					g.Train(row[i], tag)
+				}
+			}
+		}
+	}
+	return g
+}
+
+// domains counts the per-domain classifiers in the set (zero for nil).
+func (f *frozenTargetClassifiers) domains() int {
+	if f == nil {
+		return 0
+	}
+	n := 0
+	for _, c := range f.byDomain {
+		if c != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // noTag marks a row whose domain has no target classifier (or an
@@ -575,7 +472,7 @@ func families(r *relational.Table, tgt *relational.Schema, opt Options) []ViewFa
 	case SrcClassInfer:
 		cfg.factory = srcClassifierFactory
 	case TgtClassInfer:
-		cfg.factory = newTagger(newTargetClassifiers(tgt, 1).freezeFresh(), nil).factory
+		cfg.factory = newTagger(updateTargetArtifacts(opt.engine(), nil, tgt, nil, true, 1).fcls, nil).factory
 	default:
 		return nil
 	}

@@ -42,7 +42,7 @@ type PreparedTarget struct {
 // PrepareTarget eagerly resolves the target-side artifacts for tgt under
 // opt — the ID-keyed column feature layer and its shared frozen gram
 // dictionary, plus (under TgtClassInfer) the per-domain target
-// classifiers trained and compiled to their frozen form. When opt.Cache
+// classifiers, compiled from that layer. When opt.Cache
 // is set the artifacts are taken from (and stored into) the cache, so
 // PrepareTarget after a previous run against the same catalog is free; a
 // nil cache computes fresh. An empty or nil target returns
@@ -58,9 +58,8 @@ func PrepareTarget(ctx context.Context, tgt *relational.Schema, opt Options) (*P
 		}
 	}
 	pt := &PreparedTarget{tgt: tgt, opt: opt, eng: opt.engine(), matches: &atomic.Int64{}}
-	// The preparation itself fans across the run's worker budget:
-	// per-column feature extraction (merged deterministically into the
-	// shared dictionary) concurrent with per-domain classifier training.
+	// The feature extraction fans per column across the run's worker
+	// budget, merged deterministically into the shared dictionary.
 	pt.arts = opt.Cache.artifactsFor(pt.eng, tgt, opt.Inference == TgtClassInfer, opt.Parallelism)
 	return pt, nil
 }
@@ -80,8 +79,8 @@ type PrepStats struct {
 	// FeatureColumns counts the precomputed column feature vectors.
 	FeatureColumns int
 	// DictGrams counts the distinct grams interned into the handle's
-	// shared dictionary (catalog column grams, attribute-name grams and
-	// frozen classifier vocabulary share one ID space).
+	// shared dictionary (catalog column grams and attribute-name grams;
+	// the frozen classifiers are keyed by the same ID space).
 	DictGrams int
 	// DictBytes estimates the memory the interned dictionary pins.
 	DictBytes int
@@ -112,7 +111,7 @@ func (pt *PreparedTarget) Stats() PrepStats {
 	ix := pt.arts.feats.IndexStats()
 	s := PrepStats{
 		Tables:               len(pt.tgt.Tables),
-		Classifiers:          pt.arts.classifierDomains(),
+		Classifiers:          pt.arts.fcls.domains(),
 		FeatureColumns:       pt.arts.feats.Columns(),
 		DictGrams:            pt.arts.dict.Len(),
 		DictBytes:            pt.arts.dict.Bytes(),

@@ -37,8 +37,7 @@ func deltaFixture(t *testing.T) (*PreparedTarget, *relational.Schema, Delta) {
 // TestApplyDelta drives the structural validation directly: every
 // malformed delta is ErrInvalidDelta, a valid one produces the updated
 // schema in splice order with untouched pointers preserved, and the
-// touched/affected predicates report exactly the edited tables and
-// their attribute domains.
+// touched predicate reports exactly the edited tables.
 func TestApplyDelta(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	_, tgt := invFixture(rng, 20, 4)
@@ -56,17 +55,17 @@ func TestApplyDelta(t *testing.T) {
 		"replace+drop":    {Replace: []*relational.Table{book}, Drop: []string{book.Name}},
 	}
 	for name, d := range bad {
-		if _, _, _, err := applyDelta(tgt, d); !errors.Is(err, ErrInvalidDelta) {
+		if _, _, err := applyDelta(tgt, d); !errors.Is(err, ErrInvalidDelta) {
 			t.Errorf("%s: err = %v, want ErrInvalidDelta", name, err)
 		}
 	}
-	if _, _, _, err := applyDelta(tgt, Delta{Drop: []string{book.Name, music.Name}}); !errors.Is(err, ErrEmptySchema) {
+	if _, _, err := applyDelta(tgt, Delta{Drop: []string{book.Name, music.Name}}); !errors.Is(err, ErrEmptySchema) {
 		t.Errorf("drop everything: err = %v, want ErrEmptySchema", err)
 	}
 
 	replaced := &relational.Table{Name: book.Name, Attrs: book.Attrs, Rows: book.Rows[:2]}
 	added := &relational.Table{Name: "annex", Attrs: music.Attrs, Rows: music.Rows[:2]}
-	updated, touched, affected, err := applyDelta(tgt, Delta{
+	updated, touched, err := applyDelta(tgt, Delta{
 		Replace: []*relational.Table{replaced},
 		Add:     []*relational.Table{added},
 	})
@@ -82,14 +81,6 @@ func TestApplyDelta(t *testing.T) {
 	}
 	if !touched(replaced) || !touched(added) || touched(music) {
 		t.Error("touched predicate does not single out the edited tables")
-	}
-	// book and music carry string and number attrs, so both domains of
-	// the replaced table are affected.
-	if !affected(relational.DomainString) || !affected(relational.DomainNumber) {
-		t.Error("affected domains missing the edited tables' attribute domains")
-	}
-	if affected(relational.DomainBool) {
-		t.Error("bool domain affected with no bool attrs in play")
 	}
 }
 

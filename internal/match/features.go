@@ -42,6 +42,12 @@ type TargetFeatures struct {
 	// restored from snapshots, which therefore cannot delta-update.
 	colOrder map[colKey][]uint32
 
+	// full holds, for each string column a capped layer sampled, the
+	// gram counts of every non-null value (see ColumnGrams). Uncapped
+	// layers leave it empty: their n-gram vectors already count every
+	// value.
+	full map[colKey]*tokenize.IDVector
+
 	// strCols lists the string-domain target columns in schema order —
 	// the dense column numbering of the candidate index — and colDense
 	// inverts it. index is the inverted gram-ID candidate index over
@@ -49,6 +55,29 @@ type TargetFeatures struct {
 	strCols  []colKey
 	colDense map[colKey]int
 	index    *tokenize.Index
+}
+
+// scanColumn builds one target string column into the column-local
+// dictionary d: its n-gram vector over at most maxValues non-null values
+// (0 = all), and its full vector over every non-null value, which the
+// target classifier trains on — vec itself unless the cap left values
+// out. The sampled values are the column's first, so scanning them
+// first leaves d in the column's first-appearance gram order.
+func scanColumn(b *tokenize.VectorBuilder, d *tokenize.Dict, t *relational.Table, attr string, maxValues int) (vec, full *tokenize.IDVector) {
+	vec = buildColumnVector(b, d, t, attr, maxValues)
+	if maxValues == 0 {
+		return vec, vec
+	}
+	i, n := t.AttrIndex(attr), 0
+	for _, row := range t.Rows {
+		if !row[i].IsNull() {
+			n++
+		}
+	}
+	if n <= maxValues {
+		return vec, vec
+	}
+	return vec, buildColumnVector(b, d, t, attr, 0)
 }
 
 // buildColumnVector aggregates the trigram vector of one column through
@@ -120,6 +149,20 @@ func (tf *TargetFeatures) Target() *relational.Schema { return tf.tgt }
 // layer (and by any frozen classifiers compiled into the same ID
 // space).
 func (tf *TargetFeatures) Dict() *tokenize.Dict { return tf.dict }
+
+// ColumnGrams returns the gram counts of every non-null value of string
+// column attr of t, keyed by the layer's dictionary: the column's n-gram
+// vector unless the engine's value cap sampled the column. A layer
+// restored from a snapshot keeps only the sampled vectors, so under a
+// capped engine ColumnGrams is exact only on a layer
+// UpdateTargetFeatures built (CanUpdate).
+func (tf *TargetFeatures) ColumnGrams(t *relational.Table, attr string) *tokenize.IDVector {
+	key := colKey{t, attr}
+	if v, ok := tf.full[key]; ok {
+		return v
+	}
+	return tf.ngrams[key]
+}
 
 // Columns returns how many column feature vectors (n-gram and numeric)
 // the layer holds — the size figure a serving layer reports per

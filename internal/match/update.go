@@ -28,9 +28,8 @@ func (tf *TargetFeatures) CanUpdate() bool {
 }
 
 // UpdateTargetFeatures is the one build path of a target feature layer.
-// It interns the layer's grams into d, which must still be building:
-// the caller freezes it once every artifact sharing the ID space (e.g.
-// frozen classifiers) has been compiled into it.
+// It interns the layer's grams into d, which must still be building;
+// the caller freezes it once the layer is built.
 //
 // With a nil old layer every column of updated is scanned — a fresh
 // prepare, counted by TargetPrecomputes; touched is not consulted.
@@ -48,7 +47,10 @@ func (tf *TargetFeatures) CanUpdate() bool {
 // Rescanned columns fan across up to workers goroutines: each column's
 // grams are interned into a column-local dictionary, and the locals
 // merge into d sequentially in schema order, so the layer is
-// bit-identical at any worker count. Attribute-name vectors intern
+// bit-identical at any worker count. Under a capped engine a string
+// column the cap sampled also keeps its full count vector (see
+// ColumnGrams), interned, remapped and replayed with the sampled one.
+// Attribute-name vectors intern
 // after every column (the canonical order all worker counts share), and
 // the candidate index builds last, over the final vectors, whenever the
 // schema has a string column.
@@ -67,6 +69,9 @@ func (e *Engine) UpdateTargetFeatures(old *TargetFeatures, updated *relational.S
 		numRanges: map[colKey][2]float64{},
 		names:     map[string]*tokenize.IDVector{},
 		colOrder:  map[colKey][]uint32{},
+	}
+	if tf.maxValues > 0 {
+		tf.full = map[colKey]*tokenize.IDVector{}
 	}
 	if updated == nil {
 		return tf
@@ -87,9 +92,9 @@ func (e *Engine) UpdateTargetFeatures(old *TargetFeatures, updated *relational.S
 		}
 	}
 	type slot struct {
-		local *tokenize.Dict
-		vec   *tokenize.IDVector
-		nums  []float64
+		local     *tokenize.Dict
+		vec, full *tokenize.IDVector
+		nums      []float64
 	}
 	slots := make([]slot, len(jobs))
 	var builders sync.Pool
@@ -104,7 +109,8 @@ func (e *Engine) UpdateTargetFeatures(old *TargetFeatures, updated *relational.S
 		switch j.domain {
 		case relational.DomainString:
 			ld := tokenize.NewDict()
-			slots[i] = slot{local: ld, vec: buildColumnVector(b, ld, j.t, j.attr, tf.maxValues)}
+			vec, full := scanColumn(b, ld, j.t, j.attr, tf.maxValues)
+			slots[i] = slot{local: ld, vec: vec, full: full}
 		case relational.DomainNumber:
 			slots[i] = slot{nums: numericColumn(j.t, j.attr)}
 		}
@@ -127,6 +133,9 @@ func (e *Engine) UpdateTargetFeatures(old *TargetFeatures, updated *relational.S
 			if j.fresh {
 				remap := slots[i].local.MergeInto(d)
 				tf.ngrams[key] = tokenize.Remapped(slots[i].vec, remap)
+				if full := slots[i].full; full != slots[i].vec {
+					tf.full[key] = tokenize.Remapped(full, remap)
+				}
 				tf.colOrder[key] = remap
 			} else {
 				order := old.colOrder[key]
@@ -140,6 +149,9 @@ func (e *Engine) UpdateTargetFeatures(old *TargetFeatures, updated *relational.S
 					norder[oi] = nid
 				}
 				tf.ngrams[key] = tokenize.Remapped(old.ngrams[key], remapOld)
+				if full, ok := old.full[key]; ok {
+					tf.full[key] = tokenize.Remapped(full, remapOld)
+				}
 				tf.colOrder[key] = norder
 			}
 			tf.strCols = append(tf.strCols, key)

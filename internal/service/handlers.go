@@ -306,11 +306,12 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 
 // handlePatch applies a catalog delta to name's current generation: an
 // incremental re-prepare that rescans only the touched tables and
-// retrains only the affected classifiers, then swaps the result in
-// atomically as a new generation (observers notified, entry marked
-// dirty and eagerly re-persisted when a snapshot directory is
-// configured). The response is the new generation's CatalogInfo — the
-// same body PUT returns — with PreparedNS measuring the delta rebuild.
+// rebuilds the target classifiers from the column vectors, then swaps
+// the result in atomically as a new generation (observers notified,
+// entry marked dirty and eagerly re-persisted when a snapshot directory
+// is configured). The response is the new generation's CatalogInfo —
+// the same body PUT returns — with PreparedNS measuring the delta
+// rebuild.
 func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	body, err := io.ReadAll(r.Body)

@@ -105,9 +105,10 @@ func (d SchemaDoc) Build(fallback string) (*ctxmatch.Schema, error) {
 // catalog edit shipped as CSV-encoded tables to add, tables to replace
 // wholesale by name (the way to ship row changes), and table names to
 // drop — ctxmatch.CatalogDelta over the wire. The registry applies it
-// incrementally: only touched tables are rescanned and only affected
-// classifiers retrain, and the result swaps in atomically as a new
-// generation, marked dirty for the drain-time snapshot flush.
+// incrementally: only touched tables are rescanned, the target
+// classifiers are rebuilt from the resulting column vectors, and the
+// result swaps in atomically as a new generation, marked dirty for the
+// drain-time snapshot flush.
 type CatalogDeltaDoc struct {
 	// Add holds tables to append; their names must be new to the catalog.
 	Add []TableDoc `json:"add,omitempty"`

@@ -21,13 +21,14 @@ type CatalogDelta struct {
 }
 
 // Update applies a delta to the prepared catalog and returns a new
-// immutable handle for the result, rebuilding only what the delta
-// touches: touched tables' columns are rescanned and spliced into a
-// fresh dictionary while untouched columns replay without reading a
-// row, and only classifiers whose training data changed retrain. The
-// returned handle is bit-identical — same match results, any worker
-// count — to Prepare of the edited catalog, at a fraction of the cost
-// for small deltas (see BenchmarkUpdate10k).
+// immutable handle for the result, rescanning only the tables the delta
+// touches: their columns are rescanned and spliced into a fresh
+// dictionary while untouched columns replay without reading a row. The
+// target classifiers are rebuilt from the result: the string classifier
+// compiles from the column vectors and the numeric ones retrain from
+// the rows. The returned handle is bit-identical — same match results,
+// any worker count — to Prepare of the edited catalog, at a fraction of
+// the cost for small deltas (see BenchmarkUpdate10k).
 //
 // The receiver stays valid: in-flight matches drain against the old
 // artifacts while new traffic moves to the returned handle, which is
