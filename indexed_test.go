@@ -26,10 +26,7 @@ func (m pairwiseNGram) Score(cache *match.FeatureCache, src *relational.Table, s
 	if !m.Applicable(src, srcAttr, tgt, tgtAttr) {
 		return 0
 	}
-	c := tokenize.CosineIDs(
-		cache.NGramVector(src, srcAttr, m.MaxValues),
-		cache.NGramVector(tgt, tgtAttr, m.MaxValues),
-	)
+	c := tokenize.CosineIDs(cache.NGramVector(src, srcAttr), cache.NGramVector(tgt, tgtAttr))
 	return c * c
 }
 

@@ -10,7 +10,6 @@ import (
 	"ctxmatch/internal/classify"
 	"ctxmatch/internal/core"
 	"ctxmatch/internal/datagen"
-	"ctxmatch/internal/match"
 	"ctxmatch/internal/relational"
 	"ctxmatch/internal/snapshot"
 	"ctxmatch/internal/tokenize"
@@ -120,28 +119,15 @@ func edgeCatalog(rng *rand.Rand) *relational.Schema {
 	return relational.NewSchema("edge", ab, a, book)
 }
 
-// cappedEngine is the default engine with its n-gram matcher sampling
-// at most maxValues values per column.
-func cappedEngine(maxValues int) *match.Engine {
-	eng := match.NewEngine()
-	for i, m := range eng.Matchers {
-		if ng, ok := m.(match.ValueNGramMatcher); ok {
-			ng.MaxValues = maxValues
-			eng.Matchers[i] = ng
-		}
-	}
-	return eng
-}
-
 // TestTargetClassifierMatchesTrainedOracle: the string-domain target
 // classifier a prepared catalog carries, compiled from the feature
 // layer's column vectors, equals bit for bit the classifier trained on
 // the catalog's values and frozen — after Prepare and after each step
 // of an Update chain that replaces, adds and drops a table, at 1, 2 and
 // 8 workers. The catalogs cover shared labels, all-NULL and gramless
-// columns, no string column, only NULL strings (untrained) and an
-// engine whose value cap samples the columns. It lives beside the
-// oracle, NaiveBayes.Freeze, which only this package's tests can reach.
+// columns, no string column, only NULL strings (untrained) and a
+// generated multi-table inventory. It lives beside the oracle,
+// NaiveBayes.Freeze, which only this package's tests can reach.
 func TestTargetClassifierMatchesTrainedOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	noStrings := relational.NewTable("m",
@@ -159,19 +145,16 @@ func TestTargetClassifierMatchesTrainedOracle(t *testing.T) {
 	cases := []struct {
 		name string
 		tgt  *relational.Schema
-		eng  *match.Engine
 	}{
-		{"edge", edgeCatalog(rng), match.NewEngine()},
-		{"no-string-column", relational.NewSchema("numeric", noStrings), match.NewEngine()},
-		{"untrained", relational.NewSchema("untrained", onlyNulls), match.NewEngine()},
-		{"capped-edge", edgeCatalog(rng), cappedEngine(3)},
-		{"capped-fleet", fleet, cappedEngine(10)},
+		{"edge", edgeCatalog(rng)},
+		{"no-string-column", relational.NewSchema("numeric", noStrings)},
+		{"untrained", relational.NewSchema("untrained", onlyNulls)},
+		{"fleet", fleet},
 	}
 	for _, tc := range cases {
 		for _, workers := range []int{1, 2, 8} {
 			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
 				opt := core.DefaultOptions()
-				opt.Engine = tc.eng
 				opt.Parallelism = workers
 				pt, err := core.PrepareTarget(context.Background(), tc.tgt, opt)
 				if err != nil {

@@ -27,15 +27,12 @@ type targetArtifacts struct {
 // them once instead of once per source table per call. Entries are
 // keyed by schema identity (pointer): the sample instance is assumed
 // immutable while cached, which is the same contract ContextMatch
-// already places on its inputs mid-run.
+// already places on its inputs mid-run. No artifact depends on the
+// matching engine, so matchers with different engines share entries.
 //
 // A TargetCache is safe for concurrent use by multiple goroutines.
 type TargetCache struct {
-	mu sync.Mutex
-	// engine the features were computed under; a different engine
-	// invalidates the artifact set (feature vectors depend on its n-gram
-	// cap, and the dictionary is shared with the classifiers).
-	engine  *match.Engine
+	mu      sync.Mutex
 	entries map[*relational.Schema]*targetEntry
 	// order tracks insertion order for bounded FIFO eviction, so a
 	// service that rebuilds its schema objects per request cannot grow
@@ -66,16 +63,9 @@ func NewTargetCache() *TargetCache {
 }
 
 // entry returns (creating if needed) the cache slot for tgt.
-func (c *TargetCache) entry(eng *match.Engine, tgt *relational.Schema) *targetEntry {
+func (c *TargetCache) entry(tgt *relational.Schema) *targetEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.engine != eng {
-		// The artifact set is engine-specific (n-gram caps); start over
-		// rather than serve stale vectors.
-		c.engine = eng
-		c.entries = map[*relational.Schema]*targetEntry{}
-		c.order = nil
-	}
 	e := c.entries[tgt]
 	if e == nil {
 		if len(c.order) >= maxTargetEntries {
@@ -91,18 +81,18 @@ func (c *TargetCache) entry(eng *match.Engine, tgt *relational.Schema) *targetEn
 }
 
 // artifactsFor returns the pinned artifact set for tgt, computing it at
-// most once per (engine, schema); a cache miss builds with up to
+// most once per schema; a cache miss builds with up to
 // workers goroutines (the built artifacts are bit-identical at any
 // worker count, so the cache key ignores it). needCls asks for the
 // compiled target classifiers (TgtClassInfer); an entry cached without
 // them is upgraded in place, still at most once. A nil receiver
 // computes fresh without caching.
-func (c *TargetCache) artifactsFor(eng *match.Engine, tgt *relational.Schema, needCls bool, workers int) *targetArtifacts {
+func (c *TargetCache) artifactsFor(tgt *relational.Schema, needCls bool, workers int) *targetArtifacts {
 	if c == nil {
-		return updateTargetArtifacts(eng, nil, tgt, nil, needCls, workers)
+		return updateTargetArtifacts(nil, tgt, nil, needCls, workers)
 	}
-	e := c.entry(eng, tgt)
-	e.once.Do(func() { e.arts = updateTargetArtifacts(eng, nil, tgt, nil, needCls, workers) })
+	e := c.entry(tgt)
+	e.once.Do(func() { e.arts = updateTargetArtifacts(nil, tgt, nil, needCls, workers) })
 	c.mu.Lock()
 	arts := e.arts
 	c.mu.Unlock()
@@ -120,12 +110,6 @@ func (c *TargetCache) artifactsFor(eng *match.Engine, tgt *relational.Schema, ne
 		c.mu.Unlock()
 	}
 	return arts
-}
-
-// featuresFor returns the shared target feature layer for tgt; see
-// artifactsFor.
-func (c *TargetCache) featuresFor(eng *match.Engine, tgt *relational.Schema) *match.TargetFeatures {
-	return c.artifactsFor(eng, tgt, false, 1).feats
 }
 
 // Forget drops the cached artifacts for tgt, for callers that mutate a

@@ -16,7 +16,6 @@ import (
 // maxTargetEntries instead of growing per distinct schema pointer.
 func TestTargetCacheBounded(t *testing.T) {
 	c := NewTargetCache()
-	eng := match.NewEngine()
 	var first *relational.Schema
 	for i := 0; i < maxTargetEntries+5; i++ {
 		s := relational.NewSchema(fmt.Sprintf("T%d", i),
@@ -24,8 +23,8 @@ func TestTargetCacheBounded(t *testing.T) {
 		if i == 0 {
 			first = s
 		}
-		if c.featuresFor(eng, s) == nil {
-			t.Fatalf("featuresFor returned nil for schema %d", i)
+		if c.artifactsFor(s, false, 1).feats == nil {
+			t.Fatalf("artifactsFor returned no feature layer for schema %d", i)
 		}
 	}
 	c.mu.Lock()
@@ -43,10 +42,9 @@ func TestTargetCacheBounded(t *testing.T) {
 // bookkeeping.
 func TestTargetCacheForget(t *testing.T) {
 	c := NewTargetCache()
-	eng := match.NewEngine()
 	s := relational.NewSchema("T",
 		relational.NewTable("t", relational.Attribute{Name: "a", Type: relational.String}))
-	c.featuresFor(eng, s)
+	c.artifactsFor(s, false, 1)
 	c.Forget(s)
 	c.mu.Lock()
 	n, ord := len(c.entries), len(c.order)
@@ -55,8 +53,31 @@ func TestTargetCacheForget(t *testing.T) {
 		t.Errorf("after Forget: %d entries, %d order slots, want 0/0", n, ord)
 	}
 	// A forgotten schema is recomputed, not resurrected.
-	if c.featuresFor(eng, s) == nil {
-		t.Error("featuresFor after Forget returned nil")
+	if c.artifactsFor(s, false, 1).feats == nil {
+		t.Error("artifactsFor after Forget returned no feature layer")
+	}
+}
+
+// TestTargetCacheSharedAcrossEngines: the cached artifacts do not
+// depend on the matching engine, so prepares under different engines
+// reuse one entry instead of rebuilding it.
+func TestTargetCacheSharedAcrossEngines(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	_, tgt := invFixture(rng, 60, 4)
+	c := NewTargetCache()
+	var first *targetArtifacts
+	for i, eng := range []*match.Engine{match.NewEngine(), match.NewEngine(), {Matchers: []match.AttrMatcher{match.NameMatcher{W: 1}}}} {
+		opt := DefaultOptions()
+		opt.Engine, opt.Cache = eng, c
+		pt, err := PrepareTarget(context.Background(), tgt, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = pt.arts
+		} else if pt.arts != first {
+			t.Fatalf("prepare %d under another engine rebuilt the cached artifacts", i+1)
+		}
 	}
 }
 
@@ -71,11 +92,10 @@ func TestTargetCacheUpgradesClassifiers(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	src, tgt := invFixture(rng, 120, 4)
 	srcSchema := relational.NewSchema("RS", src)
-	eng := match.NewEngine()
 	run := func(cache *TargetCache, inf Inference) string {
 		t.Helper()
 		opt := DefaultOptions()
-		opt.Engine, opt.Cache, opt.Inference = eng, cache, inf
+		opt.Cache, opt.Inference = cache, inf
 		res, err := ContextMatch(context.Background(), srcSchema, tgt, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -94,7 +114,7 @@ func TestTargetCacheUpgradesClassifiers(t *testing.T) {
 	}
 	shared := NewTargetCache()
 	run(shared, NaiveInfer)
-	if arts := shared.artifactsFor(eng, tgt, false, 1); arts.fcls != nil {
+	if arts := shared.artifactsFor(tgt, false, 1); arts.fcls != nil {
 		t.Fatal("NaiveInfer run cached classifiers")
 	}
 	got := run(shared, TgtClassInfer)
@@ -105,7 +125,7 @@ func TestTargetCacheUpgradesClassifiers(t *testing.T) {
 	if got != want {
 		t.Errorf("upgraded cache entry diverged:\n got: %s\nwant: %s", got, want)
 	}
-	arts := shared.artifactsFor(eng, tgt, true, 1)
+	arts := shared.artifactsFor(tgt, true, 1)
 	nb, ok := arts.fcls.byDomain[relational.DomainString].(*classify.FrozenNaiveBayes)
 	if !ok {
 		t.Fatal("upgraded entry has no string classifier")

@@ -53,7 +53,7 @@ func inferCandidateViews(r *relational.Table, tgt *relational.Schema, hasMatches
 		}, rng))
 	case TgtClassInfer:
 		if fcls == nil {
-			fcls = updateTargetArtifacts(opt.engine(), nil, tgt, nil, true, 1).fcls
+			fcls = updateTargetArtifacts(nil, tgt, nil, true, 1).fcls
 		}
 		tagger := newTagger(fcls, proj)
 		return candidatesFromFamilies(clusteredViewGen(r, clusterConfig{
@@ -472,7 +472,7 @@ func families(r *relational.Table, tgt *relational.Schema, opt Options) []ViewFa
 	case SrcClassInfer:
 		cfg.factory = srcClassifierFactory
 	case TgtClassInfer:
-		cfg.factory = newTagger(updateTargetArtifacts(opt.engine(), nil, tgt, nil, true, 1).fcls, nil).factory
+		cfg.factory = newTagger(updateTargetArtifacts(nil, tgt, nil, true, 1).fcls, nil).factory
 	default:
 		return nil
 	}

@@ -105,7 +105,11 @@ type Options struct {
 	MaxDepth int
 	// Seed drives the train/test partitioning, making runs reproducible.
 	Seed int64
-	// Engine is the standard matching engine; nil uses match.NewEngine().
+	// Engine is the standard matching engine; nil uses match.NewEngine(),
+	// the matcher suite of §2.3. Callers of the public Matcher cannot set
+	// it: only tests swap in another engine (the pairwise n-gram oracle,
+	// the EvidenceScale = 0 ablation), and a restored snapshot carries
+	// the one it was prepared under.
 	Engine *match.Engine
 	// Parallelism bounds the worker pool that fans the per-source-table
 	// candidate generation and scoring loop of Figure 5 out across

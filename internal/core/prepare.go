@@ -60,7 +60,7 @@ func PrepareTarget(ctx context.Context, tgt *relational.Schema, opt Options) (*P
 	pt := &PreparedTarget{tgt: tgt, opt: opt, eng: opt.engine(), matches: &atomic.Int64{}}
 	// The feature extraction fans per column across the run's worker
 	// budget, merged deterministically into the shared dictionary.
-	pt.arts = opt.Cache.artifactsFor(pt.eng, tgt, opt.Inference == TgtClassInfer, opt.Parallelism)
+	pt.arts = opt.Cache.artifactsFor(tgt, opt.Inference == TgtClassInfer, opt.Parallelism)
 	return pt, nil
 }
 

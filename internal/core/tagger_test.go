@@ -25,7 +25,7 @@ func TestProjectedTagsMatchValueTags(t *testing.T) {
 			row[3] = relational.S("")
 		}
 	}
-	arts := updateTargetArtifacts(match.NewEngine(), nil, tgt, nil, true, 1)
+	arts := updateTargetArtifacts(nil, tgt, nil, true, 1)
 	proj := match.FeaturizeSource(relational.NewSchema("RS", src), 1).ProjectDict(arts.dict)
 	books := src.Select("books", relational.Eq{Attr: "StockStatus", Value: src.Rows[0][2]})
 	for _, whole := range []*relational.Table{src, books} {

@@ -144,7 +144,7 @@ func (pt *PreparedTarget) Update(ctx context.Context, delta Delta) (*PreparedTar
 		old = nil // no delta provenance: build from nothing
 	}
 	out := &PreparedTarget{tgt: updated, opt: pt.opt, eng: pt.eng, matches: pt.matches}
-	out.arts = updateTargetArtifacts(pt.eng, old, updated, touched, pt.opt.Inference == TgtClassInfer, pt.opt.Parallelism)
+	out.arts = updateTargetArtifacts(old, updated, touched, pt.opt.Inference == TgtClassInfer, pt.opt.Parallelism)
 	return out, nil
 }
 
@@ -158,12 +158,12 @@ func (pt *PreparedTarget) Update(ctx context.Context, delta Delta) (*PreparedTar
 // across up to workers goroutines and its merge is sequential in
 // canonical order, so the artifact set is bit-identical to a build from
 // nothing of updated, at any worker count.
-func updateTargetArtifacts(eng *match.Engine, old *match.TargetFeatures, updated *relational.Schema, touched func(*relational.Table) bool, needCls bool, workers int) *targetArtifacts {
+func updateTargetArtifacts(old *match.TargetFeatures, updated *relational.Schema, touched func(*relational.Table) bool, needCls bool, workers int) *targetArtifacts {
 	if workers < 1 {
 		workers = 1
 	}
 	a := &targetArtifacts{dict: tokenize.NewDict()}
-	a.feats = eng.UpdateTargetFeatures(old, updated, a.dict, touched, workers)
+	a.feats = match.UpdateTargetFeatures(old, updated, a.dict, touched, workers)
 	a.dict.Freeze()
 	if needCls {
 		a.fcls = compileTargetClassifiers(a.feats)

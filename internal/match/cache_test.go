@@ -11,18 +11,18 @@ func TestFeatureCacheMemoizesNGram(t *testing.T) {
 	tab := relational.NewTable("t", relational.Attribute{Name: "a", Type: relational.Text})
 	tab.Append(relational.Tuple{relational.S("hello world")})
 	c := NewFeatureCache()
-	v1 := c.NGramVector(tab, "a", 0)
+	v1 := c.NGramVector(tab, "a")
 	// Mutate the table afterwards: the cache must return the memoized
 	// vector, proving no recomputation happens.
 	tab.Append(relational.Tuple{relational.S("more data")})
-	v2 := c.NGramVector(tab, "a", 0)
+	v2 := c.NGramVector(tab, "a")
 	if v1 != v2 {
 		t.Error("cache recomputed the vector")
 	}
 	// A different attribute or table is a different entry.
 	other := relational.NewTable("u", relational.Attribute{Name: "a", Type: relational.Text})
 	other.Append(relational.Tuple{relational.S("zzz")})
-	if c.NGramVector(other, "a", 0) == v1 {
+	if c.NGramVector(other, "a") == v1 {
 		t.Error("distinct tables share a cache entry")
 	}
 }
@@ -49,19 +49,6 @@ func TestFeatureCacheNumeric(t *testing.T) {
 	tab.Append(relational.Tuple{relational.F(9), relational.S("x")})
 	if got := c.Numeric(tab, "x"); len(got) != 2 {
 		t.Error("cache recomputed numeric column")
-	}
-}
-
-func TestFeatureCacheMaxValues(t *testing.T) {
-	tab := relational.NewTable("t", relational.Attribute{Name: "a", Type: relational.Text})
-	for i := 0; i < 100; i++ {
-		tab.Append(relational.Tuple{relational.S("abcdefgh")})
-	}
-	c := NewFeatureCache()
-	v := c.NGramVector(tab, "a", 10)
-	// 10 values × 6 trigrams each.
-	if total := v.Mass(); total != 60 {
-		t.Errorf("capped vector mass = %v, want 60", total)
 	}
 }
 
@@ -120,7 +107,7 @@ func TestBindParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	src, tgt := fixture(rng, 150)
 	eng := NewEngine()
-	tf := buildFeatures(eng, tgt)
+	tf := buildFeatures(tgt)
 	seq := eng.BindWithFeatures(src, tgt, tf)
 	defer seq.Release()
 	want := seq.StandardMatches(0)
@@ -145,7 +132,7 @@ func TestFeatureCachePoolReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	src, tgt := fixture(rng, 80)
 	eng := NewEngine()
-	tf := buildFeatures(eng, tgt)
+	tf := buildFeatures(tgt)
 	var first []Match
 	for i := 0; i < 5; i++ {
 		b := eng.BindWithFeatures(src, tgt, tf)

@@ -27,7 +27,6 @@ func TargetPrecomputes() int64 { return targetPrecomputes.Load() }
 // and is then safe to share between concurrent Bounds.
 type TargetFeatures struct {
 	tgt       *relational.Schema
-	maxValues int
 	dict      *tokenize.Dict
 	ngrams    map[colKey]*tokenize.IDVector
 	numbers   map[colKey][]float64
@@ -42,12 +41,6 @@ type TargetFeatures struct {
 	// restored from snapshots, which therefore cannot delta-update.
 	colOrder map[colKey][]uint32
 
-	// full holds, for each string column a capped layer sampled, the
-	// gram counts of every non-null value (see ColumnGrams). Uncapped
-	// layers leave it empty: their n-gram vectors already count every
-	// value.
-	full map[colKey]*tokenize.IDVector
-
 	// strCols lists the string-domain target columns in schema order —
 	// the dense column numbering of the candidate index — and colDense
 	// inverts it. index is the inverted gram-ID candidate index over
@@ -57,47 +50,17 @@ type TargetFeatures struct {
 	index    *tokenize.Index
 }
 
-// scanColumn builds one target string column into the column-local
-// dictionary d: its n-gram vector over at most maxValues non-null values
-// (0 = all), and its full vector over every non-null value, which the
-// target classifier trains on — vec itself unless the cap left values
-// out. The sampled values are the column's first, so scanning them
-// first leaves d in the column's first-appearance gram order.
-func scanColumn(b *tokenize.VectorBuilder, d *tokenize.Dict, t *relational.Table, attr string, maxValues int) (vec, full *tokenize.IDVector) {
-	vec = buildColumnVector(b, d, t, attr, maxValues)
-	if maxValues == 0 {
-		return vec, vec
-	}
-	i, n := t.AttrIndex(attr), 0
-	for _, row := range t.Rows {
-		if !row[i].IsNull() {
-			n++
-		}
-	}
-	if n <= maxValues {
-		return vec, vec
-	}
-	return vec, buildColumnVector(b, d, t, attr, 0)
-}
-
-// buildColumnVector aggregates the trigram vector of one column through
-// the shared builder: at most maxValues non-null values (0 = all). Rows
-// are walked in place — no intermediate column slice.
-func buildColumnVector(b *tokenize.VectorBuilder, d *tokenize.Dict, t *relational.Table, attr string, maxValues int) *tokenize.IDVector {
+// buildColumnVector aggregates the trigram vector of every non-null
+// value of one column through the shared builder. Rows are walked in
+// place — no intermediate column slice.
+func buildColumnVector(b *tokenize.VectorBuilder, d *tokenize.Dict, t *relational.Table, attr string) *tokenize.IDVector {
 	i := t.AttrIndex(attr)
 	if i < 0 {
 		return b.Build()
 	}
-	n := 0
 	for _, row := range t.Rows {
-		v := row[i]
-		if v.IsNull() {
-			continue
-		}
-		b.AddTrigrams(d, v.Str())
-		n++
-		if maxValues > 0 && n >= maxValues {
-			break
+		if v := row[i]; !v.IsNull() {
+			b.AddTrigrams(d, v.Str())
 		}
 	}
 	return b.Build()
@@ -130,18 +93,6 @@ func numericColumn(t *relational.Table, attr string) []float64 {
 	return out
 }
 
-// ngramMaxValues returns the value cap of the engine's ValueNGramMatcher
-// (0 when absent or uncapped); the cap is part of a cached vector's
-// identity, so shared features must be built with the same one.
-func (e *Engine) ngramMaxValues() int {
-	for _, m := range e.Matchers {
-		if ng, ok := m.(ValueNGramMatcher); ok {
-			return ng.MaxValues
-		}
-	}
-	return 0
-}
-
 // Target returns the schema the features were computed for.
 func (tf *TargetFeatures) Target() *relational.Schema { return tf.tgt }
 
@@ -151,17 +102,10 @@ func (tf *TargetFeatures) Target() *relational.Schema { return tf.tgt }
 func (tf *TargetFeatures) Dict() *tokenize.Dict { return tf.dict }
 
 // ColumnGrams returns the gram counts of every non-null value of string
-// column attr of t, keyed by the layer's dictionary: the column's n-gram
-// vector unless the engine's value cap sampled the column. A layer
-// restored from a snapshot keeps only the sampled vectors, so under a
-// capped engine ColumnGrams is exact only on a layer
-// UpdateTargetFeatures built (CanUpdate).
+// column attr of t — the column's n-gram vector — keyed by the layer's
+// dictionary.
 func (tf *TargetFeatures) ColumnGrams(t *relational.Table, attr string) *tokenize.IDVector {
-	key := colKey{t, attr}
-	if v, ok := tf.full[key]; ok {
-		return v
-	}
-	return tf.ngrams[key]
+	return tf.ngrams[colKey{t, attr}]
 }
 
 // Columns returns how many column feature vectors (n-gram and numeric)
@@ -172,17 +116,6 @@ func (tf *TargetFeatures) Columns() int {
 		return 0
 	}
 	return len(tf.ngrams) + len(tf.numbers)
-}
-
-// MaxValues returns the per-column value cap the layer's n-gram vectors
-// were built under (0 = uncapped). A retrieval layer building source
-// vectors to probe this layer's index uses the same cap so both sides
-// sample columns identically.
-func (tf *TargetFeatures) MaxValues() int {
-	if tf == nil {
-		return 0
-	}
-	return tf.maxValues
 }
 
 // Index returns the inverted gram-ID candidate index over the layer's
@@ -204,9 +137,9 @@ func (tf *TargetFeatures) IndexStats() tokenize.IndexStats {
 }
 
 // covers reports whether the layer can answer every target-side feature
-// lookup of a Bind against tgt with the given n-gram cap — the
-// precondition for the column-parallel bind path, whose normalization
-// pass must be read-only on the cache.
-func (tf *TargetFeatures) covers(tgt *relational.Schema, maxValues int) bool {
-	return tf != nil && tf.tgt == tgt && tf.maxValues == maxValues
+// lookup of a Bind against tgt — the precondition for the
+// column-parallel bind path, whose normalization pass must be read-only
+// on the cache.
+func (tf *TargetFeatures) covers(tgt *relational.Schema) bool {
+	return tf != nil && tf.tgt == tgt
 }

@@ -39,7 +39,6 @@ type RawNameVector struct {
 // schema-scan order UpdateTargetFeatures builds them, so export →
 // restore reproduces the layer bit-for-bit.
 type RawTargetFeatures struct {
-	MaxValues int
 	// StrCols lists the string-domain columns in schema order — the
 	// dense column numbering of the candidate index — and NGrams holds
 	// their vectors, parallel.
@@ -74,7 +73,7 @@ func (tf *TargetFeatures) ExportRaw() (*RawTargetFeatures, error) {
 		}
 		return RawColumnRef{Table: ti, Attr: ai}, nil
 	}
-	raw := &RawTargetFeatures{MaxValues: tf.maxValues}
+	raw := &RawTargetFeatures{}
 	for _, key := range tf.strCols {
 		r, err := ref(key)
 		if err != nil {
@@ -129,7 +128,6 @@ func (tf *TargetFeatures) ExportRaw() (*RawTargetFeatures, error) {
 func RestoreTargetFeatures(tgt *relational.Schema, dict *tokenize.Dict, raw *RawTargetFeatures) (*TargetFeatures, error) {
 	tf := &TargetFeatures{
 		tgt:       tgt,
-		maxValues: raw.MaxValues,
 		dict:      dict,
 		ngrams:    map[colKey]*tokenize.IDVector{},
 		numbers:   map[colKey][]float64{},

@@ -124,8 +124,8 @@ type FeatureCache struct {
 	// the shared dictionary: segments compile from it instead of
 	// re-tokenizing the column (see SourceProjection).
 	proj *SourceProjection
-	// hists memoizes normalized value histograms per (column, range,
-	// bins): the bin weights are a pure function of those inputs, so
+	// hists memoizes normalized value histograms per (column, range):
+	// the bin weights are a pure function of those inputs, so
 	// re-scoring the same numeric column pair — every candidate view
 	// against the same target column, say — reuses the counts instead of
 	// re-binning. noMemo marks the parallel normalization phase, during
@@ -138,7 +138,6 @@ type FeatureCache struct {
 type histKey struct {
 	col    colKey
 	lo, hi float64
-	bins   int
 }
 
 // colSegments is the per-row tokenization of one base column compiled
@@ -146,9 +145,8 @@ type histKey struct {
 // distinct encoded gram IDs in ascending order (dictionary IDs first,
 // then the column's out-of-vocabulary grams encoded from the
 // dictionary's end in first-occurrence order), and rows holds each
-// row's grams as indices into ids. A nil row marks a NULL value
-// (which does not count toward the n-gram value cap); a non-nil empty
-// row is a value with no grams.
+// row's grams as indices into ids. A nil row marks a NULL value; a
+// non-nil empty row is a value with no grams.
 type colSegments struct {
 	ids      []uint32
 	firstOOV int
@@ -210,14 +208,12 @@ func (c *FeatureCache) release() {
 	featureCachePool.Put(c)
 }
 
-// NGramVector returns the aggregate trigram ID vector of the column,
-// computing it at most once per (table, attribute). maxValues caps how
-// many values are folded in (0 = all); the cap is part of the column's
-// identity only on first use, matching ValueNGramMatcher's single
-// configuration per engine.
-func (c *FeatureCache) NGramVector(t *relational.Table, attr string, maxValues int) *tokenize.IDVector {
+// NGramVector returns the aggregate trigram ID vector of every non-null
+// value of the column, computing it at most once per (table,
+// attribute).
+func (c *FeatureCache) NGramVector(t *relational.Table, attr string) *tokenize.IDVector {
 	key := colKey{t, attr}
-	if c.shared != nil && maxValues == c.shared.maxValues {
+	if c.shared != nil {
 		if v, ok := c.shared.ngrams[key]; ok {
 			return v
 		}
@@ -232,14 +228,14 @@ func (c *FeatureCache) NGramVector(t *relational.Table, attr string, maxValues i
 		len(t.Rows) > 0 && len(t.SelectedRows) == len(t.Rows):
 		// len(t.Rows) > 0 matters: a zero-row view has nil SelectedRows,
 		// which vectorFromSegments would otherwise read as "all rows".
-		vec = c.vectorFromSegments(t.Base, attr, maxValues, t.SelectedRows)
+		vec = c.vectorFromSegments(t.Base, attr, t.SelectedRows)
 	case c.shared != nil && c.dict.Frozen() && !t.IsView():
 		// Base columns also assemble from their own segments: the
 		// column is tokenized once (segmentsFor) and both its aggregate
 		// vector and every view over it become integer passes.
-		vec = c.vectorFromSegments(t, attr, maxValues, nil)
+		vec = c.vectorFromSegments(t, attr, nil)
 	default:
-		vec = buildColumnVector(c.builder, c.dict, t, attr, maxValues)
+		vec = buildColumnVector(c.builder, c.dict, t, attr)
 	}
 	c.ngrams[key] = vec
 	return vec
@@ -286,7 +282,7 @@ func (c *FeatureCache) compile(t *relational.Table, attr string) *colSegments {
 // first-touch order with IDs assigned from the frozen dictionary's end
 // — exactly the IDs, sort order and norm summation order
 // VectorBuilder.AddGram + Build would have produced.
-func (c *FeatureCache) vectorFromSegments(base *relational.Table, attr string, maxValues int, selected []int) *tokenize.IDVector {
+func (c *FeatureCache) vectorFromSegments(base *relational.Table, attr string, selected []int) *tokenize.IDVector {
 	segs := c.segmentsFor(base, attr)
 	if cap(c.slotCounts) < len(segs.ids) {
 		c.slotCounts = make([]float64, len(segs.ids))
@@ -294,7 +290,7 @@ func (c *FeatureCache) vectorFromSegments(base *relational.Table, attr string, m
 	if selected == nil {
 		selected = c.allRows(len(segs.rows))
 	}
-	vec, touched := segs.vector(uint32(c.dict.Len()), selected, maxValues,
+	vec, touched := segs.vector(uint32(c.dict.Len()), selected,
 		c.slotCounts[:len(segs.ids)], c.slotTouched[:0])
 	c.slotTouched = touched[:0] // keep the grown capacity
 	return vec
@@ -304,25 +300,16 @@ func (c *FeatureCache) vectorFromSegments(base *relational.Table, attr string, m
 // using caller-supplied scratch (counts zeroed, len == len(segs.ids);
 // touched empty). It returns the scratch touched slice (zeroed again)
 // so callers can recycle its capacity.
-func (segs *colSegments) vector(oovBase uint32, selected []int, maxValues int, counts []float64, touched []int32) (*tokenize.IDVector, []int32) {
+func (segs *colSegments) vector(oovBase uint32, selected []int, counts []float64, touched []int32) (*tokenize.IDVector, []int32) {
 	if len(segs.ids) == 0 {
 		return tokenize.NewIDVector(nil, nil, 0), touched
 	}
-	n := 0
 	for _, ri := range selected {
-		row := segs.rows[ri]
-		if row == nil {
-			continue // NULL in the base row
-		}
-		for _, slot := range row {
+		for _, slot := range segs.rows[ri] { // nil for a NULL base row
 			if counts[slot] == 0 {
 				touched = append(touched, slot)
 			}
 			counts[slot]++
-		}
-		n++
-		if maxValues > 0 && n >= maxValues {
-			break
 		}
 	}
 	if len(touched) == 0 {
@@ -396,22 +383,22 @@ func (c *FeatureCache) NumericRange(t *relational.Table, attr string) (lo, hi fl
 	return r[0], r[1]
 }
 
-// Histogram returns the column's bins-bin normalized value histogram
-// over [lo, hi) (last bin closed), memoized per (column, range, bins).
-// hi must be strictly greater than lo. The bin expression matches the
-// inline loop NumericMatcher historically used bit-for-bit, so memoized
-// reuse cannot move a score.
-func (c *FeatureCache) Histogram(t *relational.Table, attr string, lo, hi float64, bins int) []float64 {
-	key := histKey{colKey{t, attr}, lo, hi, bins}
+// Histogram returns the column's histogramBins-bin normalized value
+// histogram over [lo, hi) (last bin closed), memoized per (column,
+// range). hi must be strictly greater than lo. The bin expression
+// matches the inline loop NumericMatcher historically used bit-for-bit,
+// so memoized reuse cannot move a score.
+func (c *FeatureCache) Histogram(t *relational.Table, attr string, lo, hi float64) []float64 {
+	key := histKey{colKey{t, attr}, lo, hi}
 	if h, ok := c.hists[key]; ok {
 		return h
 	}
 	vals := c.Numeric(t, attr)
-	h := make([]float64, bins)
+	h := make([]float64, histogramBins)
 	for _, v := range vals {
-		i := int(float64(bins) * (v - lo) / (hi - lo))
-		if i >= bins {
-			i = bins - 1
+		i := int(histogramBins * (v - lo) / (hi - lo))
+		if i >= histogramBins {
+			i = histogramBins - 1
 		}
 		h[i] += 1 / float64(len(vals))
 	}
@@ -449,16 +436,13 @@ func (c *FeatureCache) NameVector(name string) *tokenize.IDVector {
 // produce bit-identical values — the index accumulates each column's
 // dot product in the merge walk's own summation order, and columns
 // sharing no gram score exactly 0 either way.
-func (c *FeatureCache) NGramCosine(src *relational.Table, srcAttr string, tgt *relational.Table, tgtAttr string, maxValues int) float64 {
-	if c.shared != nil && maxValues == c.shared.maxValues {
+func (c *FeatureCache) NGramCosine(src *relational.Table, srcAttr string, tgt *relational.Table, tgtAttr string) float64 {
+	if c.shared != nil {
 		if ci, ok := c.shared.colDense[colKey{tgt, tgtAttr}]; ok {
-			return c.scoreRow(src, srcAttr, maxValues)[ci]
+			return c.scoreRow(src, srcAttr)[ci]
 		}
 	}
-	return tokenize.CosineIDs(
-		c.NGramVector(src, srcAttr, maxValues),
-		c.NGramVector(tgt, tgtAttr, maxValues),
-	)
+	return tokenize.CosineIDs(c.NGramVector(src, srcAttr), c.NGramVector(tgt, tgtAttr))
 }
 
 // scoreRow returns the memoized indexed scores of one source column
@@ -466,13 +450,13 @@ func (c *FeatureCache) NGramCosine(src *relational.Table, srcAttr string, tgt *r
 // shortcut state here: the parallel normalization pass calls this
 // concurrently on a prewarmed (and therefore read-only) rows map, so
 // scoreRow must not write anything when it hits.
-func (c *FeatureCache) scoreRow(src *relational.Table, srcAttr string, maxValues int) []float64 {
+func (c *FeatureCache) scoreRow(src *relational.Table, srcAttr string) []float64 {
 	key := colKey{src, srcAttr}
 	if row, ok := c.rows[key]; ok {
 		return row
 	}
 	row := make([]float64, c.shared.index.Columns())
-	c.shared.index.ScoreColumnsFresh(c.NGramVector(src, srcAttr, maxValues), row)
+	c.shared.index.ScoreColumnsFresh(c.NGramVector(src, srcAttr), row)
 	c.rows[key] = row
 	return row
 }
@@ -587,7 +571,7 @@ func (e *Engine) BindParallel(src *relational.Table, tgt *relational.Schema, tf 
 	if workers > len(src.Attrs) {
 		workers = len(src.Attrs)
 	}
-	if workers > 1 && tf.covers(tgt, e.ngramMaxValues()) {
+	if workers > 1 && tf.covers(tgt) {
 		b.prewarmParallel(workers)
 		b.cache.noMemo = true
 		b.normalizeParallel(workers)
@@ -704,7 +688,6 @@ func (b *Bound) prewarmParallel(workers int) {
 			// this column stay read-only on the cache.
 			slots[i].segs = b.cache.compile(b.src, a.Name)
 			slots[i].vec, _ = slots[i].segs.vector(dictLen, allRows,
-				b.cache.shared.maxValues,
 				make([]float64, len(slots[i].segs.ids)), nil)
 			if ix != nil {
 				slots[i].row = make([]float64, ix.Columns())

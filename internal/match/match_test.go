@@ -127,20 +127,6 @@ func TestValueNGramMatcher(t *testing.T) {
 	}
 }
 
-func TestValueNGramMatcherMaxValues(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	src, tgt := fixture(rng, 400)
-	book := tgt.Table("book")
-	full := ValueNGramMatcher{W: 1}.Score(NewFeatureCache(), src, "name", book, "title")
-	sampled := ValueNGramMatcher{W: 1, MaxValues: 50}.Score(NewFeatureCache(), src, "name", book, "title")
-	if sampled == 0 {
-		t.Fatal("sampled score should not vanish")
-	}
-	if diff := full - sampled; diff > 0.2 || diff < -0.2 {
-		t.Errorf("sampling changed score too much: full=%v sampled=%v", full, sampled)
-	}
-}
-
 func TestNumericMatcher(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	src, tgt := fixture(rng, 200)

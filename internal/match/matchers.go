@@ -43,10 +43,6 @@ func (NameMatcher) ViewInvariant() bool { return true }
 // to NumericMatcher.
 type ValueNGramMatcher struct {
 	W float64
-	// MaxValues caps how many column values are folded into the vector;
-	// 0 means all. Sampling keeps StandardMatch subquadratic on large
-	// instances without changing the vector's direction much.
-	MaxValues int
 }
 
 // Name implements AttrMatcher.
@@ -80,7 +76,7 @@ func (m ValueNGramMatcher) Score(cache *FeatureCache, src *relational.Table, src
 	if !ok || ta.Type.Domain() != relational.DomainString {
 		return 0
 	}
-	c := cache.NGramCosine(src, srcAttr, tgt, tgtAttr, m.MaxValues)
+	c := cache.NGramCosine(src, srcAttr, tgt, tgtAttr)
 	return c * c
 }
 
@@ -94,9 +90,10 @@ func (m ValueNGramMatcher) Score(cache *FeatureCache, src *relational.Table, src
 // score 0.
 type NumericMatcher struct {
 	W float64
-	// Bins is the histogram resolution; 0 uses a default of 16.
-	Bins int
 }
+
+// histogramBins is NumericMatcher's histogram resolution.
+const histogramBins = 16
 
 // Name implements AttrMatcher.
 func (NumericMatcher) Name() string { return "numeric" }
@@ -128,10 +125,6 @@ func (m NumericMatcher) Score(cache *FeatureCache, src *relational.Table, srcAtt
 	if len(xs) == 0 || len(ys) == 0 {
 		return 0
 	}
-	bins := m.Bins
-	if bins <= 0 {
-		bins = 16
-	}
 	// Combine the cached per-column ranges instead of rescanning both
 	// columns: min-of-mins equals the concatenated scan bit-for-bit.
 	loX, hiX := cache.NumericRange(src, srcAttr)
@@ -140,13 +133,13 @@ func (m NumericMatcher) Score(cache *FeatureCache, src *relational.Table, srcAtt
 	if hi == lo {
 		return 1 // both columns are the same constant
 	}
-	// Histograms are memoized per (column, combined range, bins): a
-	// candidate view scored against many targets — or many views against
-	// the same target — re-bins each side once per distinct range.
-	hx := cache.Histogram(src, srcAttr, lo, hi, bins)
-	hy := cache.Histogram(tgt, tgtAttr, lo, hi, bins)
+	// Histograms are memoized per (column, combined range): a candidate
+	// view scored against many targets — or many views against the same
+	// target — re-bins each side once per distinct range.
+	hx := cache.Histogram(src, srcAttr, lo, hi)
+	hy := cache.Histogram(tgt, tgtAttr, lo, hi)
 	var overlap float64
-	for i := 0; i < bins; i++ {
+	for i := range hx {
 		overlap += math.Min(hx[i], hy[i])
 	}
 	return overlap

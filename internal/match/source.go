@@ -35,24 +35,15 @@ type SourceColumn struct {
 	rows [][]int32
 }
 
-// Counts returns the column's gram counts, aligned with Grams, over
-// its first maxValues non-NULL rows (0 = all) — the sampling rule
-// catalog index vectors are built under — and their Euclidean norm.
-// Counts are integers, so the norm's sum of squares is exact and
-// independent of the order grams are visited in.
-func (c *SourceColumn) Counts(maxValues int) ([]float64, float64) {
+// Counts returns the column's gram counts over every non-NULL row,
+// aligned with Grams, and their Euclidean norm. Counts are integers, so
+// the norm's sum of squares is exact and independent of the order grams
+// are visited in.
+func (c *SourceColumn) Counts() ([]float64, float64) {
 	counts := make([]float64, len(c.Grams))
-	n := 0
 	for _, row := range c.rows {
-		if row == nil {
-			continue
-		}
-		for _, k := range row {
+		for _, k := range row { // nil for a NULL value
 			counts[k]++
-		}
-		n++
-		if maxValues > 0 && n >= maxValues {
-			break
 		}
 	}
 	var norm2 float64

@@ -99,7 +99,7 @@ func compileSegments(d *tokenize.Dict, t *relational.Table, attr string) *colSeg
 func TestProjectedSegmentsMatchCompiled(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	src, tgt := projectionFixture(rng, 160)
-	tf := buildFeatures(NewEngine(), tgt)
+	tf := buildFeatures(tgt)
 	sf := FeaturizeSource(relational.NewSchema("RS", src), 2)
 	proj := sf.ProjectDict(tf.dict)
 	cache := acquireFeatureCache(tf)
@@ -125,8 +125,8 @@ func TestProjectedSegmentsMatchCompiled(t *testing.T) {
 	}
 }
 
-// TestSourceColumnCounts: the capped gram counts and norm equal a
-// direct count over the first maxValues non-NULL values.
+// TestSourceColumnCounts: the gram counts and norm equal a direct
+// count over every non-NULL value.
 func TestSourceColumnCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	src, _ := projectionFixture(rng, 90)
@@ -134,32 +134,25 @@ func TestSourceColumnCounts(t *testing.T) {
 	for _, attr := range []string{"name", "code"} {
 		col := sf.Cols[sf.index[colKey{src, attr}]]
 		ai := src.AttrIndex(attr)
-		for _, maxValues := range []int{0, 1, 10, 1000} {
-			want := map[string]float64{}
-			n := 0
-			for _, row := range src.Rows {
-				if row[ai].IsNull() {
-					continue
-				}
-				for g := range tokenize.TrigramSeq(row[ai].Str()) {
-					want[g]++
-				}
-				n++
-				if maxValues > 0 && n >= maxValues {
-					break
-				}
+		want := map[string]float64{}
+		for _, row := range src.Rows {
+			if row[ai].IsNull() {
+				continue
 			}
-			counts, norm := col.Counts(maxValues)
-			var norm2 float64
-			for k, g := range col.Grams {
-				if counts[k] != want[g] {
-					t.Fatalf("%s cap %d: gram %q counted %v, want %v", attr, maxValues, g, counts[k], want[g])
-				}
-				norm2 += want[g] * want[g]
+			for g := range tokenize.TrigramSeq(row[ai].Str()) {
+				want[g]++
 			}
-			if norm != math.Sqrt(norm2) {
-				t.Fatalf("%s cap %d: norm %v, want %v", attr, maxValues, norm, math.Sqrt(norm2))
+		}
+		counts, norm := col.Counts()
+		var norm2 float64
+		for k, g := range col.Grams {
+			if counts[k] != want[g] {
+				t.Fatalf("%s: gram %q counted %v, want %v", attr, g, counts[k], want[g])
 			}
+			norm2 += want[g] * want[g]
+		}
+		if norm != math.Sqrt(norm2) {
+			t.Fatalf("%s: norm %v, want %v", attr, norm, math.Sqrt(norm2))
 		}
 	}
 }
@@ -172,18 +165,18 @@ func TestProjectedBindMatchesUnprojected(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	src, tgt := projectionFixture(rng, 200)
 	eng := NewEngine()
-	tf := buildFeatures(eng, tgt)
+	tf := buildFeatures(tgt)
 	view := src.Select("books", relational.Eq{Attr: "type", Value: relational.I(1)})
 	for _, workers := range []int{1, 4} {
 		plain := eng.BindParallel(src, tgt, tf, nil, workers)
 		want := plain.StandardMatches(0)
-		wantView := plain.cache.NGramVector(view, "name", 0)
+		wantView := plain.cache.NGramVector(view, "name")
 
 		proj := FeaturizeSource(relational.NewSchema("RS", src), workers).ProjectDict(tf.dict)
 		before := SourceTokenizations()
 		b := eng.BindParallel(src, tgt, tf, proj, workers)
 		got := b.StandardMatches(0)
-		gotView := b.cache.NGramVector(view, "name", 0)
+		gotView := b.cache.NGramVector(view, "name")
 		if n := SourceTokenizations() - before; n != 0 {
 			t.Fatalf("workers=%d: projected bind tokenized %d source columns, want 0", workers, n)
 		}
@@ -204,7 +197,7 @@ func TestProjectionForeignDictionaryIgnored(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	src, tgt := projectionFixture(rng, 60)
 	eng := NewEngine()
-	tf := buildFeatures(eng, tgt)
+	tf := buildFeatures(tgt)
 	other := tokenize.NewDict()
 	other.Freeze()
 	proj := FeaturizeSource(relational.NewSchema("RS", src), 1).ProjectDict(other)

@@ -39,22 +39,17 @@ func (tf *TargetFeatures) CanUpdate() bool {
 // the recorded per-column merge order, so the dictionary's ID
 // assignment — and therefore every vector, name vector and the rebuilt
 // candidate index — is bit-identical to a build from nothing over
-// updated. The engine must then be the one old was built under (the
-// n-gram value cap is part of a layer's identity), old must satisfy
-// CanUpdate, and untouched tables in updated must be the same *Table
-// pointers old was built over.
+// updated. old must then satisfy CanUpdate, and untouched tables in
+// updated must be the same *Table pointers old was built over.
 //
 // Rescanned columns fan across up to workers goroutines: each column's
 // grams are interned into a column-local dictionary, and the locals
 // merge into d sequentially in schema order, so the layer is
-// bit-identical at any worker count. Under a capped engine a string
-// column the cap sampled also keeps its full count vector (see
-// ColumnGrams), interned, remapped and replayed with the sampled one.
-// Attribute-name vectors intern
+// bit-identical at any worker count. Attribute-name vectors intern
 // after every column (the canonical order all worker counts share), and
 // the candidate index builds last, over the final vectors, whenever the
 // schema has a string column.
-func (e *Engine) UpdateTargetFeatures(old *TargetFeatures, updated *relational.Schema, d *tokenize.Dict, touched func(*relational.Table) bool, workers int) *TargetFeatures {
+func UpdateTargetFeatures(old *TargetFeatures, updated *relational.Schema, d *tokenize.Dict, touched func(*relational.Table) bool, workers int) *TargetFeatures {
 	if old == nil {
 		targetPrecomputes.Add(1)
 	} else {
@@ -62,16 +57,12 @@ func (e *Engine) UpdateTargetFeatures(old *TargetFeatures, updated *relational.S
 	}
 	tf := &TargetFeatures{
 		tgt:       updated,
-		maxValues: e.ngramMaxValues(),
 		dict:      d,
 		ngrams:    map[colKey]*tokenize.IDVector{},
 		numbers:   map[colKey][]float64{},
 		numRanges: map[colKey][2]float64{},
 		names:     map[string]*tokenize.IDVector{},
 		colOrder:  map[colKey][]uint32{},
-	}
-	if tf.maxValues > 0 {
-		tf.full = map[colKey]*tokenize.IDVector{}
 	}
 	if updated == nil {
 		return tf
@@ -92,9 +83,9 @@ func (e *Engine) UpdateTargetFeatures(old *TargetFeatures, updated *relational.S
 		}
 	}
 	type slot struct {
-		local     *tokenize.Dict
-		vec, full *tokenize.IDVector
-		nums      []float64
+		local *tokenize.Dict
+		vec   *tokenize.IDVector
+		nums  []float64
 	}
 	slots := make([]slot, len(jobs))
 	var builders sync.Pool
@@ -109,8 +100,7 @@ func (e *Engine) UpdateTargetFeatures(old *TargetFeatures, updated *relational.S
 		switch j.domain {
 		case relational.DomainString:
 			ld := tokenize.NewDict()
-			vec, full := scanColumn(b, ld, j.t, j.attr, tf.maxValues)
-			slots[i] = slot{local: ld, vec: vec, full: full}
+			slots[i] = slot{local: ld, vec: buildColumnVector(b, ld, j.t, j.attr)}
 		case relational.DomainNumber:
 			slots[i] = slot{nums: numericColumn(j.t, j.attr)}
 		}
@@ -133,9 +123,6 @@ func (e *Engine) UpdateTargetFeatures(old *TargetFeatures, updated *relational.S
 			if j.fresh {
 				remap := slots[i].local.MergeInto(d)
 				tf.ngrams[key] = tokenize.Remapped(slots[i].vec, remap)
-				if full := slots[i].full; full != slots[i].vec {
-					tf.full[key] = tokenize.Remapped(full, remap)
-				}
 				tf.colOrder[key] = remap
 			} else {
 				order := old.colOrder[key]
@@ -149,9 +136,6 @@ func (e *Engine) UpdateTargetFeatures(old *TargetFeatures, updated *relational.S
 					norder[oi] = nid
 				}
 				tf.ngrams[key] = tokenize.Remapped(old.ngrams[key], remapOld)
-				if full, ok := old.full[key]; ok {
-					tf.full[key] = tokenize.Remapped(full, remapOld)
-				}
 				tf.colOrder[key] = norder
 			}
 			tf.strCols = append(tf.strCols, key)

@@ -54,9 +54,9 @@ func updateFixture() (base, updated *relational.Schema, touched func(*relational
 
 // buildFeatures builds tgt's feature layer from nothing into a fresh
 // dictionary and freezes it — the shape Prepare pins.
-func buildFeatures(e *Engine, tgt *relational.Schema) *TargetFeatures {
+func buildFeatures(tgt *relational.Schema) *TargetFeatures {
 	d := tokenize.NewDict()
-	tf := e.UpdateTargetFeatures(nil, tgt, d, nil, 1)
+	tf := UpdateTargetFeatures(nil, tgt, d, nil, 1)
 	d.Freeze()
 	return tf
 }
@@ -70,20 +70,19 @@ func buildFeatures(e *Engine, tgt *relational.Schema) *TargetFeatures {
 // TargetPrecomputes.
 func TestUpdateTargetFeaturesMatchesFreshBuild(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		e := NewEngine()
 		base, updated, touched := updateFixture()
-		old := e.UpdateTargetFeatures(nil, base, tokenize.NewDict(), nil, workers)
+		old := UpdateTargetFeatures(nil, base, tokenize.NewDict(), nil, workers)
 		if !old.CanUpdate() {
 			t.Fatal("fresh build lost its merge provenance")
 		}
 
 		precomputes, updates := TargetPrecomputes(), TargetUpdates()
-		got := e.UpdateTargetFeatures(old, updated, tokenize.NewDict(), touched, workers)
+		got := UpdateTargetFeatures(old, updated, tokenize.NewDict(), touched, workers)
 		if TargetUpdates() != updates+1 || TargetPrecomputes() != precomputes {
 			t.Error("delta rebuild not counted as exactly one update")
 		}
 		precomputes, updates = TargetPrecomputes(), TargetUpdates()
-		want := e.UpdateTargetFeatures(nil, updated, tokenize.NewDict(), nil, workers)
+		want := UpdateTargetFeatures(nil, updated, tokenize.NewDict(), nil, workers)
 		if TargetPrecomputes() != precomputes+1 || TargetUpdates() != updates {
 			t.Error("build from nothing not counted as exactly one precompute")
 		}
@@ -137,9 +136,8 @@ func TestCanUpdate(t *testing.T) {
 	if (&TargetFeatures{}).CanUpdate() {
 		t.Error("layer without colOrder claims updatability")
 	}
-	e := NewEngine()
 	base, _, _ := updateFixture()
-	if !e.UpdateTargetFeatures(nil, base, tokenize.NewDict(), nil, 2).CanUpdate() {
+	if !UpdateTargetFeatures(nil, base, tokenize.NewDict(), nil, 2).CanUpdate() {
 		t.Error("fresh parallel build not updatable")
 	}
 }
@@ -147,10 +145,9 @@ func TestCanUpdate(t *testing.T) {
 // TestUpdateTargetFeaturesNilSchema: a nil updated schema yields an
 // empty layer rather than a panic.
 func TestUpdateTargetFeaturesNilSchema(t *testing.T) {
-	e := NewEngine()
 	base, _, _ := updateFixture()
-	old := e.UpdateTargetFeatures(nil, base, tokenize.NewDict(), nil, 1)
-	tf := e.UpdateTargetFeatures(old, nil, tokenize.NewDict(), func(*relational.Table) bool { return false }, 1)
+	old := UpdateTargetFeatures(nil, base, tokenize.NewDict(), nil, 1)
+	tf := UpdateTargetFeatures(old, nil, tokenize.NewDict(), func(*relational.Table) bool { return false }, 1)
 	if tf.Columns() != 0 {
 		t.Errorf("nil schema produced %d columns", tf.Columns())
 	}

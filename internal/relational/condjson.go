@@ -118,7 +118,9 @@ func marshalJunction(op string, conds []Condition) ([]byte, error) {
 // UnmarshalCondition decodes the tagged-union wire form back into the
 // Condition sum type. Unknown operators are an error, so a result
 // produced by a future format version fails loudly instead of silently
-// dropping conditions.
+// dropping conditions. So are an "in" with no values and an "and" or
+// "or" with none: no run produces them, and an empty "or" selects no
+// row yet renders as "true", the key views are shared under.
 func UnmarshalCondition(data []byte) (Condition, error) {
 	if string(data) == "null" {
 		return nil, nil
@@ -139,19 +141,22 @@ func UnmarshalCondition(data []byte) (Condition, error) {
 	case "eq":
 		return Eq{Attr: probe.Attr, Value: probe.Value}, nil
 	case "in":
+		if len(probe.Values) == 0 {
+			return nil, fmt.Errorf("relational: in condition on %q has no values", probe.Attr)
+		}
 		// The values were written in canonical NewIn order; keep them
 		// as-is so re-encoding is byte-identical.
 		return In{Attr: probe.Attr, Values: probe.Values}, nil
-	case "and":
+	case "and", "or":
+		if len(probe.Conds) == 0 {
+			return nil, fmt.Errorf("relational: %s condition has no sub-conditions", probe.Op)
+		}
 		conds, err := unmarshalConds(probe.Conds)
 		if err != nil {
 			return nil, err
 		}
-		return And{Conds: conds}, nil
-	case "or":
-		conds, err := unmarshalConds(probe.Conds)
-		if err != nil {
-			return nil, err
+		if probe.Op == "and" {
+			return And{Conds: conds}, nil
 		}
 		return Or{Conds: conds}, nil
 	default:

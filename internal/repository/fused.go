@@ -35,16 +35,16 @@ func (g *globalKeys) project(sf *match.SourceFeatures, e *Entry) *match.SourcePr
 
 // fusedRetrieve is the registry-global retrieval pass: the source's
 // distinct grams — tokenized once per request, outside the lock — are
-// keyed into the fused index's global dictionary once, profiled once
-// per sampling cap, and a single fused term-at-a-time pass accumulates
-// every catalog's per-column WAND bound simultaneously. Catalogs are
-// then visited in descending aggregate-bound order — the most
-// promising catalogs establish the top-k floor first, so the floor is
-// sharp for the long tail — and each catalog runs the same needed-floor
-// column walk as the per-catalog path, except that a column whose
-// fused bound falls below the walk's floor is skipped without building
-// its vector or touching the catalog's postings: the bound already
-// proves what the floored scan would have (best < floor).
+// keyed into the fused index's global dictionary once, profiled once,
+// and a single fused term-at-a-time pass accumulates every catalog's
+// per-column WAND bound simultaneously. Catalogs are then visited in
+// descending aggregate-bound order — the most promising catalogs
+// establish the top-k floor first, so the floor is sharp for the long
+// tail — and each catalog runs the same needed-floor column walk as the
+// per-catalog path, except that a column whose fused bound falls below
+// the walk's floor is skipped without building its vector or touching
+// the catalog's postings: the bound already proves what the floored
+// scan would have (best < floor).
 //
 // Every non-pruned catalog's evidence is exact and computed by the
 // catalog's own index (LocalVector feeds it the same in-vocabulary
@@ -67,36 +67,19 @@ func (g *globalKeys) project(sf *match.SourceFeatures, e *Entry) *match.SourcePr
 // the unfrozen global dictionary and the slot table, which installs
 // mutate under the write lock.
 func (f *Fleet) fusedRetrieve(entries []*Entry, sf *match.SourceFeatures, k int, minScore float64, deadline time.Time) ([]CatalogScore, *globalKeys) {
-	type capProfile struct {
-		cols   []srcColumn
-		bounds [][]float64 // per column, per slot position
-	}
-	nSlots := f.fused.Slots()
 	keys := &globalKeys{gids: make([][]uint32, len(sf.Cols)), remaps: map[*Entry]tokenize.Remap{}}
 	for j, c := range sf.Cols {
 		keys.gids[j] = f.fused.GlobalIDs(c.Grams)
 	}
-	profiles := map[int]*capProfile{}
-	profileFor := func(maxValues int) *capProfile {
-		if p, ok := profiles[maxValues]; ok {
-			return p
-		}
-		cols := profileColumns(sf, maxValues)
-		p := &capProfile{cols: cols, bounds: make([][]float64, len(cols))}
-		for j := range cols {
-			gv := tokenize.GlobalVector(keys.gids[j], cols[j].counts, cols[j].norm)
-			p.bounds[j] = make([]float64, nSlots)
-			f.fused.AccumulateBounds(gv, p.bounds[j])
-			cols[j].global = gv
-		}
-		profiles[maxValues] = p
-		return p
-	}
+	// The source is profiled, and its bounds accumulated, on the first
+	// indexed catalog: a fleet with none runs no fused pass.
+	var cols []srcColumn
+	var bounds [][]float64 // per column, per slot position
+	n := len(sf.Cols)
 
 	type cand struct {
-		e       *Entry
-		profile *capProfile
-		agg     float64
+		e   *Entry
+		agg float64
 	}
 	var cands []cand
 	scores := make([]CatalogScore, 0, len(entries))
@@ -106,20 +89,23 @@ func (f *Fleet) fusedRetrieve(entries []*Entry, sf *match.SourceFeatures, k int,
 			continue
 		}
 		keys.remaps[e] = e.slot.Remap()
-		p := profileFor(e.feats.MaxValues())
+		if cols == nil {
+			cols, bounds = profileColumns(sf), make([][]float64, n)
+			for j := range cols {
+				cols[j].global = tokenize.GlobalVector(keys.gids[j], cols[j].counts, cols[j].norm)
+				bounds[j] = make([]float64, f.fused.Slots())
+				f.fused.AccumulateBounds(cols[j].global, bounds[j])
+			}
+		}
 		agg := 0.0
-		if n := len(p.cols); n > 0 {
+		if n > 0 {
 			pos := e.slot.Pos()
-			for j := range p.cols {
-				b := p.bounds[j][pos]
-				if b > 1 {
-					b = 1
-				}
-				agg += b
+			for j := range cols {
+				agg += min(bounds[j][pos], 1)
 			}
 			agg /= float64(n)
 		}
-		cands = append(cands, cand{e: e, profile: p, agg: agg})
+		cands = append(cands, cand{e: e, agg: agg})
 	}
 	// Highest aggregate bound first: these are the catalogs most likely
 	// to own the final top-k, so scoring them first makes the advancing
@@ -146,8 +132,6 @@ func (f *Fleet) fusedRetrieve(entries []*Entry, sf *match.SourceFeatures, k int,
 		}
 		ix := e.slot.Index()
 		pos := e.slot.Pos()
-		cols := c.profile.cols
-		n := len(cols)
 		if cap(row) < ix.Columns() {
 			row = make([]float64, ix.Columns())
 		}
@@ -162,7 +146,7 @@ func (f *Fleet) fusedRetrieve(entries []*Entry, sf *match.SourceFeatures, k int,
 				break
 			}
 			fl := max(minScore, needed)
-			if fl > 0 && c.profile.bounds[j][pos] < fl {
+			if fl > 0 && bounds[j][pos] < fl {
 				// The fused bound proves the column's true best is below
 				// fl — exactly what a floored scan returning 0 proves —
 				// without building the vector or walking any postings.

@@ -9,11 +9,10 @@ import (
 	"ctxmatch/internal/tokenize"
 )
 
-// srcColumn is one source string column profiled under a sampling cap:
-// its gram counts over the capped rows, aligned with the request's
-// tokenization of the column (zero for grams that occur only past the
-// cap), and the Euclidean norm of those counts — which is the same
-// under every ID mapping, so it is computed once.
+// srcColumn is one source string column profiled for retrieval: its
+// gram counts, aligned with the request's tokenization of the column,
+// and the Euclidean norm of those counts — which is the same under
+// every ID mapping, so it is computed once.
 type srcColumn struct {
 	col    *match.SourceColumn
 	counts []float64
@@ -23,14 +22,13 @@ type srcColumn struct {
 	global *tokenize.IDVector
 }
 
-// profileColumns profiles every featurized source column under the
-// catalogs' per-column sampling cap (0 = all values) — the same rule
-// the catalogs' own index vectors were built under.
-func profileColumns(sf *match.SourceFeatures, maxValues int) []srcColumn {
+// profileColumns profiles every featurized source column over all its
+// values — the rule the catalogs' own index vectors were built under.
+func profileColumns(sf *match.SourceFeatures) []srcColumn {
 	out := make([]srcColumn, len(sf.Cols))
 	for j, c := range sf.Cols {
 		out[j].col = c
-		out[j].counts, out[j].norm = c.Counts(maxValues)
+		out[j].counts, out[j].norm = c.Counts()
 	}
 	return out
 }
@@ -90,19 +88,8 @@ func (e *Entry) vector(col *srcColumn) *tokenize.IDVector {
 // catalogs carry no scan and still pass through), so the caller can
 // degrade instead of blowing the whole request deadline here.
 func retrieve(entries []*Entry, sf *match.SourceFeatures, k int, minScore float64, deadline time.Time) []CatalogScore {
-	// Source profiles are keyed by the catalog's sampling cap; fleets
-	// prepared by one matcher share a single cap, so this usually
-	// profiles once.
-	profiles := map[int][]srcColumn{}
-	colsFor := func(maxValues int) []srcColumn {
-		if cols, ok := profiles[maxValues]; ok {
-			return cols
-		}
-		cols := profileColumns(sf, maxValues)
-		profiles[maxValues] = cols
-		return cols
-	}
-
+	cols := profileColumns(sf)
+	n := len(cols)
 	floor := newTopK(k)
 	scores := make([]CatalogScore, 0, len(entries))
 	var row []float64
@@ -119,8 +106,6 @@ func retrieve(entries []*Entry, sf *match.SourceFeatures, k int, minScore float6
 			scores = append(scores, cs)
 			continue
 		}
-		cols := colsFor(e.feats.MaxValues())
-		n := len(cols)
 		if cap(row) < ix.Columns() {
 			row = make([]float64, ix.Columns())
 		}

@@ -418,12 +418,10 @@ func TestListReportsMatchCounts(t *testing.T) {
 	}
 }
 
-// FuzzMatchAnyRequest drives POST /v1/match-any with arbitrary bodies
-// under arbitrary content types, against a server holding one small
-// catalog. A body may match (200), be rejected (400) or be shed by
-// admission (429); a 5xx or a panic is a bug. A body that still carries
-// the retired "exhaustive" knob decodes like any other unknown field.
-func FuzzMatchAnyRequest(f *testing.F) {
+// fuzzFixture starts a server holding one small catalog, "inv", for the
+// request-body fuzzers, and returns its URL with the first source
+// table's CSV and the whole source schema document as JSON.
+func fuzzFixture(f *testing.F) (url, srcCSV string, srcJSON []byte) {
 	m, err := ctxmatch.New(ctxmatch.WithSeed(1), ctxmatch.WithParallelism(2))
 	if err != nil {
 		f.Fatal(err)
@@ -433,7 +431,7 @@ func FuzzMatchAnyRequest(f *testing.F) {
 		f.Fatal(err)
 	}
 	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
+	f.Cleanup(ts.Close)
 
 	ds := datagen.Inventory(datagen.InventoryConfig{
 		Rows: 20, TargetRows: 30, Gamma: 3, Target: datagen.Ryan, Seed: 1,
@@ -464,12 +462,44 @@ func FuzzMatchAnyRequest(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	srcJSON, err := json.Marshal(src)
-	if err != nil {
+	if srcJSON, err = json.Marshal(src); err != nil {
 		f.Fatal(err)
 	}
+	return ts.URL, src.Tables[0].CSV, srcJSON
+}
 
-	f.Add([]byte(src.Tables[0].CSV), "text/csv")
+// postFuzzBody POSTs body under contentType and fails unless the server
+// answers 200, 400 or 429: a 5xx or a panic is a bug.
+func postFuzzBody(t *testing.T, url string, body []byte, contentType string) {
+	if strings.ContainsFunc(contentType, func(r rune) bool { return r != '\t' && (r < ' ' || r == 0x7f) }) {
+		t.Skip("the client refuses to send control bytes in a header value")
+	}
+	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", contentType)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	switch resp.StatusCode {
+	case http.StatusOK, http.StatusBadRequest, http.StatusTooManyRequests:
+	default:
+		t.Fatalf("POST %s %q (%q): status = %d, want 200, 400 or 429", url, body, contentType, resp.StatusCode)
+	}
+}
+
+// FuzzMatchAnyRequest drives POST /v1/match-any with arbitrary bodies
+// under arbitrary content types, against a server holding one small
+// catalog. A body may match (200), be rejected (400) or be shed by
+// admission (429); a 5xx or a panic is a bug. A body that still carries
+// the retired "exhaustive" knob decodes like any other unknown field.
+func FuzzMatchAnyRequest(f *testing.F) {
+	url, srcCSV, srcJSON := fuzzFixture(f)
+	f.Add([]byte(srcCSV), "text/csv")
 	f.Add([]byte(`{"source":`+string(srcJSON)+`,"k":2,"min_score":0.05}`), "application/json")
 	f.Add([]byte(`{"source":`+string(srcJSON)+`,"exhaustive":true}`), "application/json; charset=utf-8")
 	f.Add([]byte(`{"source":{"tables":[]},"min_score":1.5}`), "application/json")
@@ -478,25 +508,33 @@ func FuzzMatchAnyRequest(f *testing.F) {
 	f.Add([]byte{}, "")
 
 	f.Fuzz(func(t *testing.T, body []byte, contentType string) {
-		if strings.ContainsFunc(contentType, func(r rune) bool { return r != '\t' && (r < ' ' || r == 0x7f) }) {
-			t.Skip("the client refuses to send control bytes in a header value")
+		postFuzzBody(t, url+"/v1/match-any", body, contentType)
+	})
+}
+
+// FuzzMatchBodies drives the single-catalog match endpoints with
+// arbitrary bodies: POST /v1/catalogs/inv/match (CSV or a JSON source
+// document, by content type) when batch is false, POST
+// /v1/catalogs/inv/match-batch (a JSON sources array) when it is true.
+// The answers allowed are those of FuzzMatchAnyRequest.
+func FuzzMatchBodies(f *testing.F) {
+	url, srcCSV, srcJSON := fuzzFixture(f)
+	f.Add([]byte(srcCSV), "text/csv", false)
+	f.Add([]byte(`{"source":`+string(srcJSON)+`}`), "application/json", false)
+	f.Add([]byte(`{"source":{"tables":[{"name":"s","csv":"a:string\nv"}]}}`), "application/json; charset=utf-8", false)
+	f.Add([]byte(`{"source":{"tables":[]}}`), "application/json", false)
+	f.Add([]byte(`{"sources":[`+string(srcJSON)+`,{"name":"broken"},{"tables":[{"name":"s","csv":"a:int\nx"}]}]}`), "application/json", true)
+	f.Add([]byte(`{"sources":[]}`), "application/json", true)
+	f.Add([]byte(`{"sources":null}`), "", true)
+	f.Add([]byte(`not json at all`), "application/json", true)
+	f.Add([]byte{}, "", false)
+
+	f.Fuzz(func(t *testing.T, body []byte, contentType string, batch bool) {
+		path := "/v1/catalogs/inv/match"
+		if batch {
+			path += "-batch"
 		}
-		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/match-any", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Content-Type", contentType)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		switch resp.StatusCode {
-		case http.StatusOK, http.StatusBadRequest, http.StatusTooManyRequests:
-		default:
-			t.Fatalf("POST match-any %q (%q): status = %d, want 200, 400 or 429", body, contentType, resp.StatusCode)
-		}
+		postFuzzBody(t, url+path, body, contentType)
 	})
 }
 

@@ -209,11 +209,11 @@ func encodeMeta(e *enc, a *Artifacts) error {
 		case match.ValueNGramMatcher:
 			e.u8(matcherNGram)
 			e.f64(m.W)
-			e.i64(int64(m.MaxValues))
+			e.i64(0) // reserved: the retired n-gram value cap
 		case match.NumericMatcher:
 			e.u8(matcherNumeric)
 			e.f64(m.W)
-			e.i64(int64(m.Bins))
+			e.i64(0) // reserved: the retired histogram bin count
 		case match.TypeMatcher:
 			e.u8(matcherType)
 			e.f64(m.W)
@@ -242,15 +242,20 @@ func decodeMeta(d *dec, a *Artifacts) error {
 	if flag := d.u8(); flag != 0 {
 		return errUnsupportedf("engine flag byte %d: exhaustive-engine snapshots are no longer readable", flag)
 	}
+	// retired ORs the reserved fields, written as 0, where older builds
+	// stored an n-gram value cap and a histogram bin count.
+	var retired int64
 	nm := int(d.u32())
 	for i := 0; i < nm && d.err() == nil; i++ {
 		switch tag := d.u8(); tag {
 		case matcherName:
 			eng.Matchers = append(eng.Matchers, match.NameMatcher{W: d.f64()})
 		case matcherNGram:
-			eng.Matchers = append(eng.Matchers, match.ValueNGramMatcher{W: d.f64(), MaxValues: int(d.i64())})
+			eng.Matchers = append(eng.Matchers, match.ValueNGramMatcher{W: d.f64()})
+			retired |= d.i64()
 		case matcherNumeric:
-			eng.Matchers = append(eng.Matchers, match.NumericMatcher{W: d.f64(), Bins: int(d.i64())})
+			eng.Matchers = append(eng.Matchers, match.NumericMatcher{W: d.f64()})
+			retired |= d.i64()
 		case matcherType:
 			eng.Matchers = append(eng.Matchers, match.TypeMatcher{W: d.f64()})
 		default:
@@ -261,6 +266,9 @@ func decodeMeta(d *dec, a *Artifacts) error {
 	}
 	if err := d.err(); err != nil {
 		return err
+	}
+	if retired != 0 {
+		return errUnsupportedf("engine sets an n-gram value cap or a histogram bin count, which this build no longer runs")
 	}
 	a.Engine = eng
 
@@ -514,7 +522,7 @@ func decodeVector(d *dec) match.RawVector {
 }
 
 func encodeFeatures(e *enc, raw *match.RawTargetFeatures) {
-	e.i64(int64(raw.MaxValues))
+	e.i64(0) // reserved: the retired n-gram value cap
 	e.u32(uint32(len(raw.StrCols)))
 	for i, r := range raw.StrCols {
 		e.u32(uint32(r.Table))
@@ -543,7 +551,10 @@ func encodeFeatures(e *enc, raw *match.RawTargetFeatures) {
 }
 
 func decodeFeatures(d *dec) (*match.RawTargetFeatures, error) {
-	raw := &match.RawTargetFeatures{MaxValues: int(d.i64())}
+	if d.i64() != 0 { // reserved: the retired n-gram value cap
+		return nil, errUnsupportedf("features built under an n-gram value cap, which this build no longer runs")
+	}
+	raw := &match.RawTargetFeatures{}
 	nStr := int(d.u32())
 	for i := 0; i < nStr && d.err() == nil; i++ {
 		raw.StrCols = append(raw.StrCols, match.RawColumnRef{Table: int(d.u32()), Attr: int(d.u32())})

@@ -88,6 +88,20 @@ const (
 // depth, seed, parallelism — 65 bytes) and the f64 evidence scale.
 const metaFlagOffset = 65 + 8
 
+// Reserved i64 fields that held retired engine settings, written as 0.
+// In the meta section, the flag byte and a u32 matcher count precede
+// the default suite's matchers — name, value n-gram, numeric, type —
+// each a tag byte and an f64 weight; the n-gram matcher's weight is
+// followed by its former value cap, the numeric matcher's by its former
+// histogram bin count. The feature section leads with the former value
+// cap.
+const (
+	secFeatures        = 4
+	metaNGramCapOffset = metaFlagOffset + 1 + 4 + (1 + 8) + (1 + 8)
+	metaBinsOffset     = metaNGramCapOffset + 8 + (1 + 8)
+	featuresCapOffset  = 0
+)
+
 // section locates one section of a container: its table entry and its
 // payload.
 type section struct{ entry, off, n int }
@@ -173,6 +187,46 @@ func TestFormerEngineFlagUnsupported(t *testing.T) {
 	_, _, err := snapshot.Read(bytes.NewReader(data))
 	if !errors.Is(err, snapshot.ErrUnsupported) {
 		t.Fatalf("flag set: %v, want ErrUnsupported", err)
+	}
+}
+
+// TestReservedEngineFieldsUnsupported: the fields that held the n-gram
+// value cap and the histogram bin count are always written as 0, and a
+// snapshot with any of them set — CRC intact, so the checksum is not
+// what fails — describes an engine this build does not run.
+func TestReservedEngineFieldsUnsupported(t *testing.T) {
+	data := writeSmall(t)
+	secs := sections(t, data)
+	meta := secs[secMeta]
+	if tag := data[meta.off+metaNGramCapOffset-9]; tag != 2 {
+		t.Fatalf("n-gram matcher tag %d, want 2: offsets out of date", tag)
+	}
+	if tag := data[meta.off+metaBinsOffset-9]; tag != 3 {
+		t.Fatalf("numeric matcher tag %d, want 3: offsets out of date", tag)
+	}
+	for _, f := range []struct {
+		name string
+		sec  section
+		off  int
+	}{
+		{"meta n-gram cap", meta, metaNGramCapOffset},
+		{"meta bin count", meta, metaBinsOffset},
+		{"feature n-gram cap", secs[secFeatures], featuresCapOffset},
+	} {
+		at := f.sec.off + f.off
+		if v := binary.LittleEndian.Uint64(data[at:]); v != 0 {
+			t.Fatalf("%s written as %d, want 0", f.name, v)
+		}
+		edited := bytes.Clone(data)
+		binary.LittleEndian.PutUint64(edited[at:], 16)
+		reseal(edited, f.sec)
+		_, err := ctxmatch.LoadTarget(bytes.NewReader(edited))
+		if errors.Is(err, ctxmatch.ErrSnapshotChecksum) {
+			t.Fatalf("%s set: the reseal did not take: %v", f.name, err)
+		}
+		if !errors.Is(err, ctxmatch.ErrSnapshotUnsupported) {
+			t.Errorf("%s set: %v, want ErrSnapshotUnsupported", f.name, err)
+		}
 	}
 }
 

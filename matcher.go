@@ -5,7 +5,6 @@ import (
 	"runtime"
 
 	"ctxmatch/internal/core"
-	"ctxmatch/internal/match"
 )
 
 // Structured errors of the Matcher API.
@@ -59,9 +58,6 @@ func New(opts ...Option) (*Matcher, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Engine == nil {
-		cfg.Engine = match.NewEngine()
-	}
 	return &Matcher{opt: cfg.Options, cache: core.NewTargetCache()}, nil
 }
 
@@ -113,10 +109,12 @@ func (m *Matcher) MatchTarget(ctx context.Context, source, target *Schema) (*Res
 func (m *Matcher) Parallelism() int { return m.opt.Parallelism }
 
 // Options returns a copy of the matcher's resolved configuration, for
-// diagnostics and for bridging to the legacy Options-based helpers.
+// diagnostics and for bridging to the legacy Options-based helpers. The
+// Matcher's engine and target cache stay private: Engine and Cache are
+// nil.
 func (m *Matcher) Options() Options {
 	opt := m.opt
-	opt.Cache = nil
+	opt.Engine, opt.Cache = nil, nil
 	return opt
 }
 

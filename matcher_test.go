@@ -11,6 +11,7 @@ import (
 
 	"ctxmatch"
 	"ctxmatch/internal/datagen"
+	"ctxmatch/internal/match"
 )
 
 // multiInventory builds a source schema with 3·k tables (k inventory
@@ -308,6 +309,9 @@ func TestMatcherOptionsSnapshot(t *testing.T) {
 	if opt.Cache != nil {
 		t.Error("Options() leaked the internal cache")
 	}
+	if opt.Engine != nil {
+		t.Error("Options() leaked the matcher's engine")
+	}
 	// WithOptions bridges a legacy Options value into the new API.
 	bridged := mustNew(t, ctxmatch.WithOptions(opt), ctxmatch.WithSeed(42))
 	if got := bridged.Options(); got.Tau != 0.4 || got.Seed != 42 {
@@ -320,6 +324,37 @@ func TestMatcherOptionsSnapshot(t *testing.T) {
 	legacy := mustNew(t, ctxmatch.WithOptions(opt))
 	if got := legacy.Options(); got.Parallelism < 1 {
 		t.Errorf("WithOptions with zero Parallelism left Parallelism = %d", got.Parallelism)
+	}
+}
+
+// TestWithOptionsKeepsStandardEngine: an Options value carrying an
+// engine — here the default suite with its evidence gate switched off,
+// which the test hook shows changes the result — does not replace the
+// Matcher's engine: WithOptions matches byte-identically to the
+// default.
+func TestWithOptionsKeepsStandardEngine(t *testing.T) {
+	ds := datagen.Inventory(datagen.InventoryConfig{
+		Rows: 300, TargetRows: 150, Gamma: 4, Target: datagen.Ryan, Seed: 1,
+	})
+	run := func(opts ...ctxmatch.Option) string {
+		t.Helper()
+		res, err := mustNew(t, append(opts, ctxmatch.WithSeed(5), ctxmatch.WithParallelism(1))...).
+			Match(context.Background(), ds.Source, ds.Target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return renderResult(res)
+	}
+	ungated := match.NewEngine()
+	ungated.EvidenceScale = 0
+	opt := mustNew(t).Options()
+	opt.Engine = ungated
+	want := run()
+	if run(ctxmatch.WithEngine(ungated)) == want {
+		t.Fatal("the ungated engine matches like the default; the check below would prove nothing")
+	}
+	if got := run(ctxmatch.WithOptions(opt)); got != want {
+		t.Errorf("WithOptions adopted the engine it carried:\n got: %s\nwant: %s", excerptDiff(got, want), excerptDiff(want, got))
 	}
 }
 

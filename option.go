@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"ctxmatch/internal/core"
-	"ctxmatch/internal/match"
 )
 
 // ErrInvalidOption is wrapped by every configuration error New returns,
@@ -68,22 +67,18 @@ func WithSeed(seed int64) Option { return func(c *config) { c.Seed = seed } }
 // to GOMAXPROCS.
 func WithParallelism(n int) Option { return func(c *config) { c.Parallelism = n } }
 
-// WithEngine supplies a custom standard-matching engine (matcher suite,
-// weights, evidence gating). The Matcher assumes ownership: the engine
-// must not be mutated afterwards, since Matches may read it from many
-// goroutines.
-func WithEngine(e *match.Engine) Option { return func(c *config) { c.Engine = e } }
-
 // WithOptions adopts a legacy Options value wholesale, as a migration
 // bridge from the free-function API. Options placed after it still
 // override individual fields. A zero Parallelism — the free functions
 // never had the field — keeps the Matcher's current (default) value
-// rather than failing validation.
+// rather than failing validation. The Engine field is ignored: every
+// Matcher runs the standard matcher suite of §2.3.
 func WithOptions(opt Options) Option {
 	return func(c *config) {
 		if opt.Parallelism == 0 {
 			opt.Parallelism = c.Parallelism
 		}
+		opt.Engine = c.Engine
 		c.Options = opt
 	}
 }

@@ -12,7 +12,6 @@ import (
 
 	"ctxmatch"
 	"ctxmatch/internal/datagen"
-	"ctxmatch/internal/match"
 )
 
 // snapshotFixtures are the three datagen layouts every snapshot
@@ -247,53 +246,5 @@ func TestSnapshotCopyCounters(t *testing.T) {
 	}
 	if d := fromFile - fromMemory; d > 64<<10 {
 		t.Errorf("loading from a file allocates %d bytes more than from memory, want at most 64 KiB", d)
-	}
-}
-
-// TestCappedEngineSnapshotsDeterministic: under an n-gram matcher whose
-// value cap samples the catalog's columns, the target classifier still
-// trains on every value, so the grams beyond the cap enter the
-// dictionary too and must do so in a fixed order. Repeated prepares
-// write the same snapshot bytes, and an Update writes the bytes of a
-// fresh prepare of the edited catalog.
-func TestCappedEngineSnapshotsDeterministic(t *testing.T) {
-	ds := datagen.Inventory(datagen.InventoryConfig{Rows: 80, TargetRows: 60, Gamma: 4, Target: datagen.Aaron, Seed: 11})
-	eng := match.NewEngine()
-	for i, m := range eng.Matchers {
-		if ng, ok := m.(match.ValueNGramMatcher); ok {
-			ng.MaxValues = 10
-			eng.Matchers[i] = ng
-		}
-	}
-	prepare := func(s *ctxmatch.Schema) *ctxmatch.Target {
-		t.Helper()
-		m := mustNew(t, ctxmatch.WithEngine(eng), ctxmatch.WithParallelism(2), ctxmatch.WithSeed(5))
-		pt, err := m.Prepare(context.Background(), s)
-		if err != nil {
-			t.Fatalf("Prepare: %v", err)
-		}
-		return pt
-	}
-	snap := func(pt *ctxmatch.Target) []byte {
-		t.Helper()
-		var buf bytes.Buffer
-		if _, err := pt.WriteSnapshot(&buf); err != nil {
-			t.Fatalf("WriteSnapshot: %v", err)
-		}
-		return buf.Bytes()
-	}
-	base := prepare(ds.Target)
-	want := snap(base)
-	for i := 0; i < 7; i++ {
-		if !bytes.Equal(snap(prepare(ds.Target)), want) {
-			t.Fatalf("prepare %d wrote different snapshot bytes than the first", i+2)
-		}
-	}
-	updated, err := base.Update(context.Background(), fixtureDelta(ds.Target))
-	if err != nil {
-		t.Fatalf("Update: %v", err)
-	}
-	if !bytes.Equal(snap(updated), snap(prepare(updated.Schema()))) {
-		t.Error("Update wrote different snapshot bytes than a fresh prepare of the edited catalog")
 	}
 }

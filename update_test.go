@@ -38,8 +38,9 @@ func fixtureDelta(target *ctxmatch.Schema) ctxmatch.CatalogDelta {
 
 // TestUpdateMatchesFreshPrepare is the incremental-prepare correctness
 // bar: Target.Update must produce match results byte-identical — every
-// confidence bit — to a from-scratch Prepare of the updated catalog,
-// across all three fixtures at 1 and 8 workers. It also pins the
+// confidence bit — and the same snapshot bytes as a from-scratch
+// Prepare of the updated catalog, across all three fixtures at 1 and 8
+// workers. It also pins the
 // "incremental" claim: the update goes through the delta path
 // (TargetUpdates advances) without a build from nothing
 // (TargetPrecomputes does not), while the fresh reference prepare is
@@ -118,6 +119,17 @@ func TestUpdateMatchesFreshPrepare(t *testing.T) {
 				if gs != ws {
 					t.Errorf("%+v: updated handle diverged from fresh prepare:\n got: %s\nwant: %s",
 						r, excerptDiff(gs, ws), excerptDiff(ws, gs))
+				}
+
+				var updatedSnap, freshSnap bytes.Buffer
+				if _, err := updated.WriteSnapshot(&updatedSnap); err != nil {
+					t.Fatalf("%+v: updated WriteSnapshot: %v", r, err)
+				}
+				if _, err := fresh.WriteSnapshot(&freshSnap); err != nil {
+					t.Fatalf("%+v: fresh WriteSnapshot: %v", r, err)
+				}
+				if !bytes.Equal(updatedSnap.Bytes(), freshSnap.Bytes()) {
+					t.Errorf("%+v: updated handle wrote different snapshot bytes than a fresh prepare", r)
 				}
 
 				// The old handle must keep serving its own catalog unchanged
