@@ -3,6 +3,7 @@ package ctxmatch_test
 import (
 	"bytes"
 	"context"
+	"os"
 	"testing"
 
 	"ctxmatch"
@@ -10,11 +11,17 @@ import (
 
 // FuzzLoadTarget is the decoder-robustness property of the snapshot
 // subsystem: arbitrary bytes must either load into a usable handle or
-// fail with an error — never panic, and never allocate beyond a small
-// multiple of the input's own size (every count in the format is
-// bounds-checked against the remaining payload before any allocation).
-// The seed corpus is one valid snapshot per datagen layout, so mutation
-// explores the format's interior, not just its magic check.
+// fail with an error — never panic. Every count in the format is
+// bounds-checked against the remaining payload before any allocation,
+// so decoding allocates at most a small multiple of the input's own
+// size; a successful load may then allocate what preparing the carried
+// schema would, the Naive Bayes likelihood table (grams × labels × 8
+// bytes) chief among it. The seed corpus is one valid format-2 snapshot
+// per datagen layout, so mutation explores the format's interior, not
+// just its magic check, plus the committed format-1 golden file, so the
+// re-prepare path of a format-1 load is fuzzed too. Every successful
+// load is updated once — its first table replaced with itself — so the
+// merge-order replay of a restored handle meets the mutated content.
 func FuzzLoadTarget(f *testing.F) {
 	for name, ds := range snapshotFixtures() {
 		m, err := ctxmatch.New(ctxmatch.WithParallelism(2))
@@ -31,6 +38,11 @@ func FuzzLoadTarget(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
+	v1, err := os.ReadFile("internal/snapshot/testdata/v1-small.snap")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1)
 	f.Add([]byte("CTXSNP"))
 	f.Add([]byte{})
 
@@ -49,6 +61,15 @@ func FuzzLoadTarget(f *testing.F) {
 		if st.SnapshotBytes != len(data) {
 			t.Errorf("SnapshotBytes = %d, want %d", st.SnapshotBytes, len(data))
 		}
-		_ = target.Schema().TableNames()
+		schema := target.Schema()
+		_ = schema.TableNames()
+		if len(schema.Tables) == 0 {
+			return
+		}
+		first := schema.Tables[0]
+		delta := ctxmatch.CatalogDelta{Replace: []*ctxmatch.Table{{Name: first.Name, Attrs: first.Attrs, Rows: first.Rows}}}
+		if _, err := target.Update(context.Background(), delta); err != nil && first.Name != "" {
+			t.Errorf("replacing table %q with itself: %v", first.Name, err)
+		}
 	})
 }

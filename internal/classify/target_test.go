@@ -3,15 +3,19 @@ package classify_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
+	"os"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"ctxmatch/internal/classify"
 	"ctxmatch/internal/core"
 	"ctxmatch/internal/datagen"
 	"ctxmatch/internal/relational"
-	"ctxmatch/internal/snapshot"
 	"ctxmatch/internal/tokenize"
 )
 
@@ -47,27 +51,32 @@ func oracleTables(t *testing.T, tgt *relational.Schema, dict *tokenize.Dict) *cl
 	return raw
 }
 
-// checkAgainstOracle reads the handle's frozen classifiers back from its
-// snapshot and compares the string domain's tables with the oracle's,
-// bit for bit. The string classifier must exist exactly when the
-// catalog has a string attribute.
+// stringClassifier returns the string-domain target classifier pt
+// pins, nil when it has none. core keeps its classifier set unexported
+// — matching needs no accessor and snapshots no longer carry it — so
+// the test reads the field by reflection.
+func stringClassifier(pt *core.PreparedTarget) classify.FrozenClassifier {
+	fcls := reflect.ValueOf(pt).Elem().FieldByName("arts").Elem().FieldByName("fcls")
+	if fcls.IsNil() {
+		return nil
+	}
+	byDomain := (*[relational.DomainBool + 1]classify.FrozenClassifier)(unsafe.Pointer(fcls.Elem().FieldByName("byDomain").UnsafeAddr()))
+	return byDomain[relational.DomainString]
+}
+
+// checkAgainstOracle compares the string-domain tables of the handle's
+// classifiers with the oracle's, bit for bit. The string classifier
+// must exist exactly when the catalog has a string attribute.
 func checkAgainstOracle(t *testing.T, step string, pt *core.PreparedTarget) {
 	t.Helper()
-	var buf bytes.Buffer
-	if _, err := pt.WriteSnapshot(&buf); err != nil {
-		t.Fatalf("%s: WriteSnapshot: %v", step, err)
-	}
-	a, _, err := snapshot.Read(&buf)
-	if err != nil {
-		t.Fatalf("%s: snapshot.Read: %v", step, err)
-	}
+	tgt := pt.Target()
 	hasString := false
-	for _, tab := range a.Schema.Tables {
+	for _, tab := range tgt.Tables {
 		for _, attr := range tab.Attrs {
 			hasString = hasString || attr.Type.Domain() == relational.DomainString
 		}
 	}
-	fc := a.Classifiers[relational.DomainString]
+	fc := stringClassifier(pt)
 	if (fc != nil) != hasString {
 		t.Fatalf("%s: string classifier present %v, string attribute present %v", step, fc != nil, hasString)
 	}
@@ -78,7 +87,7 @@ func checkAgainstOracle(t *testing.T, step string, pt *core.PreparedTarget) {
 	if !ok {
 		t.Fatalf("%s: string classifier is %T", step, fc)
 	}
-	if diff := classify.DiffRaw(nb.Raw(), oracleTables(t, a.Schema, a.Dict)); diff != "" {
+	if diff := classify.DiffRaw(nb.Raw(), oracleTables(t, tgt, pt.Features().Dict())); diff != "" {
 		t.Fatalf("%s: compiled tables differ from the trained and frozen oracle: %s", step, diff)
 	}
 }
@@ -122,7 +131,8 @@ func edgeCatalog(rng *rand.Rand) *relational.Schema {
 // TestTargetClassifierMatchesTrainedOracle: the string-domain target
 // classifier a prepared catalog carries, compiled from the feature
 // layer's column vectors, equals bit for bit the classifier trained on
-// the catalog's values and frozen — after Prepare and after each step
+// the catalog's values and frozen — after Prepare, after a snapshot
+// round trip (a load compiles the classifiers anew) and after each step
 // of an Update chain that replaces, adds and drops a table, at 1, 2 and
 // 8 workers. The catalogs cover shared labels, all-NULL and gramless
 // columns, no string column, only NULL strings (untrained) and a
@@ -161,6 +171,15 @@ func TestTargetClassifierMatchesTrainedOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 				checkAgainstOracle(t, "prepare", pt)
+				var buf bytes.Buffer
+				if _, err := pt.WriteSnapshot(&buf); err != nil {
+					t.Fatal(err)
+				}
+				restored, err := core.LoadPreparedTarget(&buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkAgainstOracle(t, "load", restored)
 				first := tc.tgt.Tables[0]
 				drop := "annex"
 				if n := len(tc.tgt.Tables); n > 1 {
@@ -182,5 +201,81 @@ func TestTargetClassifierMatchesTrainedOracle(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// storedV1NaiveBayes decodes the string-domain Naive Bayes tables a
+// format-1 snapshot stored in its classifier section (id 6), which
+// format 2 no longer writes: a tag byte (1, Naive Bayes; the string
+// domain comes first), the labels (a u32 count, then u32-length-
+// prefixed strings), the log priors and OOV terms as u32-length-
+// prefixed f64 arrays, the u32 table gram count, the likelihood table
+// as another such array, and a trained byte. Each array's data starts
+// 8-byte aligned within the section.
+func storedV1NaiveBayes(t *testing.T, data []byte) *classify.RawNaiveBayes {
+	t.Helper()
+	var p []byte
+	for i := 0; i < int(binary.LittleEndian.Uint32(data[8:])); i++ {
+		e := data[16+24*i:]
+		if binary.LittleEndian.Uint32(e) == 6 {
+			off := binary.LittleEndian.Uint64(e[8:])
+			p = data[off : off+binary.LittleEndian.Uint64(e[16:])]
+		}
+	}
+	if len(p) == 0 || p[0] != 1 {
+		t.Fatal("the snapshot stores no string-domain Naive Bayes")
+	}
+	pos := 1
+	u32 := func() int {
+		v := int(binary.LittleEndian.Uint32(p[pos:]))
+		pos += 4
+		return v
+	}
+	f64s := func() []float64 {
+		out := make([]float64, u32())
+		pos = (pos + 7) &^ 7
+		for i := range out {
+			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[pos:]))
+			pos += 8
+		}
+		return out
+	}
+	raw := &classify.RawNaiveBayes{}
+	for n := u32(); n > 0; n-- {
+		l := u32()
+		raw.Labels = append(raw.Labels, string(p[pos:pos+l]))
+		pos += l
+	}
+	raw.LogPrior = f64s()
+	raw.OOV = f64s()
+	raw.TableGrams = u32()
+	raw.Lik = f64s()
+	raw.Trained = p[pos] != 0
+	return raw
+}
+
+// TestV1LikelihoodTableReprepared: loading the format-1 golden snapshot
+// re-prepares its catalog, and the string-domain tables compiled then
+// equal, bit for bit, the ones the file stored — the upgrade to format
+// 2 loses nothing the classifier held.
+func TestV1LikelihoodTableReprepared(t *testing.T) {
+	data, err := os.ReadFile("../snapshot/testdata/v1-small.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, err := core.LoadPreparedTarget(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nb, ok := stringClassifier(pt).(*classify.FrozenNaiveBayes)
+	if !ok {
+		t.Fatal("the re-prepared catalog has no string-domain Naive Bayes")
+	}
+	stored := storedV1NaiveBayes(t, data)
+	if stored.TableGrams == 0 || len(stored.Labels) == 0 {
+		t.Fatalf("stored table is empty: %d grams, %d labels", stored.TableGrams, len(stored.Labels))
+	}
+	if diff := classify.DiffRaw(nb.Raw(), stored); diff != "" {
+		t.Fatalf("re-prepared tables differ from the stored ones: %s", diff)
 	}
 }

@@ -188,7 +188,8 @@ type frozenTargetClassifiers struct {
 // from the layer's per-column gram counts — the instance evidence the
 // standard matcher already gathered — so no value is tokenized again;
 // the numeric and bool Gaussians train on the rows in schema order and
-// freeze. feats must be a layer UpdateTargetFeatures built.
+// freeze. feats must be a layer UpdateTargetFeatures built or
+// RestoreTargetFeatures restored over a frozen dictionary.
 func compileTargetClassifiers(feats *match.TargetFeatures) *frozenTargetClassifiers {
 	targetClassifierTrainings.Add(1)
 	f := &frozenTargetClassifiers{}

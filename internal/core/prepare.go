@@ -28,10 +28,12 @@ type PreparedTarget struct {
 	eng  *match.Engine
 	arts *targetArtifacts
 
-	// snapshotBytes and restored describe the handle's provenance when
-	// it was loaded from a snapshot rather than prepared fresh.
+	// snapshotBytes, restored and upgraded describe the handle's
+	// provenance when it was loaded from a snapshot rather than prepared
+	// fresh (upgraded: from an older format, so re-prepared).
 	snapshotBytes int
 	restored      bool
+	upgraded      bool
 
 	// matches counts successful prepared matches through this handle
 	// over its lifetime. It is a pointer so WithParallelism copies share

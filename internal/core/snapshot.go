@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"io"
 	"sync/atomic"
 
@@ -10,12 +9,12 @@ import (
 
 // WriteSnapshot serializes the handle's pinned artifacts — target
 // schema with its sample instance, options, engine configuration,
-// frozen dictionary, column feature layer, candidate index and frozen
-// classifiers — into the versioned snapshot container, returning the
-// bytes written. A handle restored from those bytes matches
-// bit-identically to this one.
+// frozen dictionary, column feature layer with its merge orders, and
+// candidate index — into the versioned snapshot container, returning
+// the bytes written. A handle restored from those bytes matches and
+// updates bit-identically to this one.
 func (pt *PreparedTarget) WriteSnapshot(w io.Writer) (int64, error) {
-	a := &snapshot.Artifacts{
+	return snapshot.Write(w, &snapshot.Artifacts{
 		Schema: pt.tgt,
 		Options: snapshot.Options{
 			Tau:            pt.opt.Tau,
@@ -32,19 +31,18 @@ func (pt *PreparedTarget) WriteSnapshot(w io.Writer) (int64, error) {
 		Engine:   pt.eng,
 		Dict:     pt.arts.dict,
 		Features: pt.arts.feats,
-	}
-	if pt.arts.fcls != nil {
-		a.HasClassifiers = true
-		a.Classifiers = pt.arts.fcls.byDomain
-	}
-	return snapshot.Write(w, a)
+	})
 }
 
 // LoadPreparedTarget deserializes a snapshot written by WriteSnapshot
-// into a ready-to-match handle, performing no training and no column
-// scanning — the artifacts come back as the pure-data tables the
-// snapshot recorded. Corrupt or foreign input fails with the snapshot
-// package's structured errors.
+// into a ready-to-match handle. The dictionary and the feature layer
+// come back as the pure-data tables the snapshot recorded, no column is
+// rescanned, and under TgtClassInfer the target classifiers compile
+// from them through compileTargetClassifiers, as a prepare or an Update
+// compiles them. A format-1 snapshot, which lacks the merge orders, is
+// re-prepared from the schema and options it carries instead; the
+// handle then reports Upgraded. Corrupt or foreign input fails with the
+// snapshot package's structured errors.
 func LoadPreparedTarget(r io.Reader) (*PreparedTarget, error) {
 	a, size, err := snapshot.Read(r)
 	if err != nil {
@@ -63,12 +61,15 @@ func LoadPreparedTarget(r io.Reader) (*PreparedTarget, error) {
 		Parallelism:    a.Options.Parallelism,
 		Engine:         a.Engine,
 	}
-	if opt.Inference == TgtClassInfer && !a.HasClassifiers {
-		return nil, fmt.Errorf("%w: snapshot prepared under TgtClassInfer carries no classifiers", snapshot.ErrFormat)
-	}
-	arts := &targetArtifacts{dict: a.Dict, feats: a.Features}
-	if a.HasClassifiers {
-		arts.fcls = &frozenTargetClassifiers{byDomain: a.Classifiers}
+	needCls := opt.Inference == TgtClassInfer
+	var arts *targetArtifacts
+	if a.Features == nil {
+		arts = updateTargetArtifacts(nil, a.Schema, nil, needCls, opt.Parallelism)
+	} else {
+		arts = &targetArtifacts{dict: a.Dict, feats: a.Features}
+		if needCls {
+			arts.fcls = compileTargetClassifiers(a.Features)
+		}
 	}
 	return &PreparedTarget{
 		tgt:           a.Schema,
@@ -77,6 +78,12 @@ func LoadPreparedTarget(r io.Reader) (*PreparedTarget, error) {
 		arts:          arts,
 		snapshotBytes: size,
 		restored:      true,
+		upgraded:      a.Features == nil,
 		matches:       &atomic.Int64{},
 	}, nil
 }
+
+// Upgraded reports whether the handle was loaded from a snapshot in a
+// format older than the one WriteSnapshot writes, and so was
+// re-prepared; a serving layer rewrites such a snapshot.
+func (pt *PreparedTarget) Upgraded() bool { return pt.upgraded }

@@ -124,11 +124,10 @@ func applyDelta(old *relational.Schema, delta Delta) (updated *relational.Schema
 // handle in while requests drain against the old one.
 //
 // The returned handle shares the receiver's match counter (per-catalog
-// traffic statistics survive updates). Handles restored from snapshots
-// carry no delta provenance, so Update builds the updated catalog from
-// nothing — still correct, just not incremental. An invalid
-// delta returns ErrInvalidDelta; dropping every table returns
-// ErrEmptySchema.
+// traffic statistics survive updates). A handle restored from a
+// snapshot updates the same way, replaying the merge orders the
+// snapshot stores. An invalid delta returns ErrInvalidDelta; dropping
+// every table returns ErrEmptySchema.
 func (pt *PreparedTarget) Update(ctx context.Context, delta Delta) (*PreparedTarget, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -139,12 +138,8 @@ func (pt *PreparedTarget) Update(ctx context.Context, delta Delta) (*PreparedTar
 	if err != nil {
 		return nil, err
 	}
-	old := pt.arts.feats
-	if !old.CanUpdate() {
-		old = nil // no delta provenance: build from nothing
-	}
 	out := &PreparedTarget{tgt: updated, opt: pt.opt, eng: pt.eng, matches: pt.matches}
-	out.arts = updateTargetArtifacts(old, updated, touched, pt.opt.Inference == TgtClassInfer, pt.opt.Parallelism)
+	out.arts = updateTargetArtifacts(pt.arts.feats, updated, touched, pt.opt.Inference == TgtClassInfer, pt.opt.Parallelism)
 	return out, nil
 }
 

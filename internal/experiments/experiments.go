@@ -6,7 +6,8 @@
 //
 // Absolute numbers differ from the paper's (synthetic data, Go runtime,
 // different hardware); the quantities, axes and expected shapes match.
-// See EXPERIMENTS.md for the recorded shape-by-shape comparison.
+// The README's "Paper vs this repo" table records every quality figure
+// at QuickConfig, read off testdata/quick-figures.golden.
 package experiments
 
 import (

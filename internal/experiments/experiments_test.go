@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// tinyConfig keeps unit tests fast; figure shapes are validated by the
-// full harness (EXPERIMENTS.md), not here.
+// tinyConfig keeps unit tests fast; figure values are pinned at
+// QuickConfig by TestQuickFiguresGolden (and tabulated in the README's
+// "Paper vs this repo" section), not here.
 func tinyConfig() Config {
 	return Config{Rows: 160, TargetRows: 80, Students: 60, Repeats: 1, Seed: 1}
 }

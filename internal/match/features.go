@@ -37,8 +37,8 @@ type TargetFeatures struct {
 	// the column's distinct grams in first-appearance (column-local
 	// insertion) order — the MergeInto remap of the build. A delta
 	// rebuild replays this order to reassign untouched columns' grams
-	// into a fresh dictionary without rescanning any rows. Nil on layers
-	// restored from snapshots, which therefore cannot delta-update.
+	// into a fresh dictionary without rescanning any rows. Snapshots
+	// store it, so restored layers delta-update too.
 	colOrder map[colKey][]uint32
 
 	// strCols lists the string-domain target columns in schema order —

@@ -50,6 +50,10 @@ type RawTargetFeatures struct {
 	NumRanges [][2]float64
 	// Names holds the attribute-name vectors in first-seen schema order.
 	Names []RawNameVector
+	// Orders holds each string column's gram merge order, parallel to
+	// StrCols: the column's vector IDs in first-appearance order, which
+	// a delta update replays into a fresh dictionary.
+	Orders [][]uint32
 	// Index is the candidate index in flat form, nil exactly when the
 	// layer has no string column.
 	Index *tokenize.RawIndex
@@ -81,6 +85,7 @@ func (tf *TargetFeatures) ExportRaw() (*RawTargetFeatures, error) {
 		}
 		raw.StrCols = append(raw.StrCols, r)
 		raw.NGrams = append(raw.NGrams, exportVector(tf.ngrams[key]))
+		raw.Orders = append(raw.Orders, tf.colOrder[key])
 	}
 	// Numeric columns in the schema-scan order the precompute walks.
 	for ti, t := range tf.tgt.Tables {
@@ -120,11 +125,15 @@ func (tf *TargetFeatures) ExportRaw() (*RawTargetFeatures, error) {
 }
 
 // RestoreTargetFeatures reconstructs a TargetFeatures over tgt and dict
-// from its flat form, validating every positional reference and vector
-// shape the matching hot path indexes by. A layer with string columns
-// must carry their candidate index, which is rebuilt over the restored
-// string-column vectors (the exact pointers the score rows address)
-// with the dense column numbering reconstituted from StrCols.
+// from its flat form, validating every positional reference, vector
+// shape and gram ID the matching hot path and the classifier compile
+// index by: every vector ID lies below dict's size, and every merge
+// order is a permutation of its column's vector IDs, so a delta update
+// of the restored layer replays exactly the grams each column holds. A
+// layer with string columns must carry their candidate index, which is
+// rebuilt over the restored string-column vectors (the exact pointers
+// the score rows address) with the dense column numbering reconstituted
+// from StrCols.
 func RestoreTargetFeatures(tgt *relational.Schema, dict *tokenize.Dict, raw *RawTargetFeatures) (*TargetFeatures, error) {
 	tf := &TargetFeatures{
 		tgt:       tgt,
@@ -133,6 +142,7 @@ func RestoreTargetFeatures(tgt *relational.Schema, dict *tokenize.Dict, raw *Raw
 		numbers:   map[colKey][]float64{},
 		numRanges: map[colKey][2]float64{},
 		names:     map[string]*tokenize.IDVector{},
+		colOrder:  map[colKey][]uint32{},
 	}
 	resolve := func(r RawColumnRef, dom relational.Domain) (colKey, error) {
 		if r.Table < 0 || r.Table >= len(tgt.Tables) {
@@ -148,8 +158,14 @@ func RestoreTargetFeatures(tgt *relational.Schema, dict *tokenize.Dict, raw *Raw
 		}
 		return colKey{t, a.Name}, nil
 	}
-	if len(raw.NGrams) != len(raw.StrCols) {
-		return nil, fmt.Errorf("match: %d ngram vectors for %d string columns", len(raw.NGrams), len(raw.StrCols))
+	if len(raw.NGrams) != len(raw.StrCols) || len(raw.Orders) != len(raw.StrCols) {
+		return nil, fmt.Errorf("match: %d ngram vectors and %d merge orders for %d string columns", len(raw.NGrams), len(raw.Orders), len(raw.StrCols))
+	}
+	// mark[id] is 2i+1 while column i's vector holds id and its order
+	// has not yet listed it, 2i+2 once the order has.
+	var mark []uint32
+	if len(raw.StrCols) > 0 {
+		mark = make([]uint32, dict.Len())
 	}
 	for i, r := range raw.StrCols {
 		key, err := resolve(r, relational.DomainString)
@@ -159,11 +175,26 @@ func RestoreTargetFeatures(tgt *relational.Schema, dict *tokenize.Dict, raw *Raw
 		if _, dup := tf.ngrams[key]; dup {
 			return nil, fmt.Errorf("match: duplicate string column %s.%s", key.t.Name, key.attr)
 		}
-		v, err := restoreVector(raw.NGrams[i])
+		v, err := restoreVector(raw.NGrams[i], dict.Len())
 		if err != nil {
 			return nil, err
 		}
+		order := raw.Orders[i]
+		if len(order) != len(v.IDs) {
+			return nil, fmt.Errorf("match: column %s.%s has %d grams but a %d-gram merge order", key.t.Name, key.attr, len(v.IDs), len(order))
+		}
+		in, seen := uint32(2*i+1), uint32(2*i+2)
+		for _, id := range v.IDs {
+			mark[id] = in
+		}
+		for _, id := range order {
+			if int(id) >= len(mark) || mark[id] != in {
+				return nil, fmt.Errorf("match: column %s.%s merge order is not a permutation of its gram IDs", key.t.Name, key.attr)
+			}
+			mark[id] = seen
+		}
 		tf.ngrams[key] = v
+		tf.colOrder[key] = order
 		tf.strCols = append(tf.strCols, key)
 	}
 	if len(raw.NumRanges) != len(raw.Numbers) {
@@ -187,11 +218,25 @@ func RestoreTargetFeatures(tgt *relational.Schema, dict *tokenize.Dict, raw *Raw
 		if _, dup := tf.names[nv.Name]; dup {
 			return nil, fmt.Errorf("match: duplicate name vector %q", nv.Name)
 		}
-		v, err := restoreVector(nv.Vec)
+		v, err := restoreVector(nv.Vec, dict.Len())
 		if err != nil {
 			return nil, err
 		}
 		tf.names[nv.Name] = v
+	}
+	// Matching, the classifier compile and a delta update look up every
+	// string and numeric column and every attribute name of tgt.
+	for _, t := range tgt.Tables {
+		for _, a := range t.Attrs {
+			key := colKey{t, a.Name}
+			_, num := tf.numbers[key]
+			switch dom := a.Type.Domain(); {
+			case dom == relational.DomainString && tf.ngrams[key] == nil,
+				dom == relational.DomainNumber && !num,
+				tf.names[a.Name] == nil:
+				return nil, fmt.Errorf("match: column %s.%s has no restored features", t.Name, a.Name)
+			}
+		}
 	}
 	if raw.Index != nil {
 		cols := make([]*tokenize.IDVector, len(tf.strCols))
@@ -213,10 +258,11 @@ func exportVector(v *tokenize.IDVector) RawVector {
 	return RawVector{IDs: v.IDs, Counts: v.Counts, Norm: v.Norm()}
 }
 
-// restoreVector validates the parallel-slice shape and ID ordering the
-// merge walks and the candidate index rely on before wrapping the
-// slices.
-func restoreVector(r RawVector) (*tokenize.IDVector, error) {
+// restoreVector validates the parallel-slice shape, ID ordering and ID
+// range (below grams, the dictionary size) the merge walks, the
+// candidate index and the classifier compile rely on before wrapping
+// the slices.
+func restoreVector(r RawVector, grams int) (*tokenize.IDVector, error) {
 	if len(r.IDs) != len(r.Counts) {
 		return nil, fmt.Errorf("match: vector has %d ids but %d counts", len(r.IDs), len(r.Counts))
 	}
@@ -224,6 +270,9 @@ func restoreVector(r RawVector) (*tokenize.IDVector, error) {
 		if r.IDs[i] <= r.IDs[i-1] {
 			return nil, fmt.Errorf("match: vector ids not strictly ascending at %d", i)
 		}
+	}
+	if n := len(r.IDs); n > 0 && int64(r.IDs[n-1]) >= int64(grams) {
+		return nil, fmt.Errorf("match: vector id %d outside the %d-gram dictionary", r.IDs[n-1], grams)
 	}
 	return tokenize.NewIDVector(r.IDs, r.Counts, r.Norm), nil
 }

@@ -18,15 +18,6 @@ var targetUpdates atomic.Int64
 // delta-rebuilt in this process.
 func TargetUpdates() int64 { return targetUpdates.Load() }
 
-// CanUpdate reports whether the layer retains the per-column gram merge
-// order a delta rebuild replays. Layers built by UpdateTargetFeatures
-// do; layers restored from snapshots do not (the snapshot format
-// carries vectors, not merge provenance) and must be rebuilt from
-// nothing.
-func (tf *TargetFeatures) CanUpdate() bool {
-	return tf != nil && tf.colOrder != nil
-}
-
 // UpdateTargetFeatures is the one build path of a target feature layer.
 // It interns the layer's grams into d, which must still be building;
 // the caller freezes it once the layer is built.
@@ -39,7 +30,8 @@ func (tf *TargetFeatures) CanUpdate() bool {
 // the recorded per-column merge order, so the dictionary's ID
 // assignment — and therefore every vector, name vector and the rebuilt
 // candidate index — is bit-identical to a build from nothing over
-// updated. old must then satisfy CanUpdate, and untouched tables in
+// updated. old may be a layer this function built or one restored from
+// a snapshot, which carries the merge orders; untouched tables in
 // updated must be the same *Table pointers old was built over.
 //
 // Rescanned columns fan across up to workers goroutines: each column's

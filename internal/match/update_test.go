@@ -2,6 +2,7 @@ package match
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"ctxmatch/internal/relational"
@@ -65,15 +66,27 @@ func buildFeatures(tgt *relational.Schema) *TargetFeatures {
 // reproduce, field for field, the layer a build from nothing produces
 // over the updated schema — gram vectors, merge orders, numeric
 // columns and ranges, name vectors, and the rebuilt candidate index —
-// at 1 and 4 workers. The two builds advance different counters: a
-// delta is one TargetUpdates, a build from nothing one
+// at 1 and 4 workers, from a built old layer and from one exported and
+// restored the way a snapshot does. The two builds advance different
+// counters: a delta is one TargetUpdates, a build from nothing one
 // TargetPrecomputes.
 func TestUpdateTargetFeaturesMatchesFreshBuild(t *testing.T) {
-	for _, workers := range []int{1, 4} {
+	for _, run := range []struct {
+		workers  int
+		restored bool
+	}{{1, false}, {4, false}, {1, true}, {4, true}} {
+		workers := run.workers
 		base, updated, touched := updateFixture()
 		old := UpdateTargetFeatures(nil, base, tokenize.NewDict(), nil, workers)
-		if !old.CanUpdate() {
-			t.Fatal("fresh build lost its merge provenance")
+		if run.restored {
+			old.dict.Freeze()
+			raw, err := old.ExportRaw()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if old, err = RestoreTargetFeatures(base, old.dict, raw); err != nil {
+				t.Fatal(err)
+			}
 		}
 
 		precomputes, updates := TargetPrecomputes(), TargetUpdates()
@@ -126,19 +139,63 @@ func TestUpdateTargetFeaturesMatchesFreshBuild(t *testing.T) {
 	}
 }
 
-// TestCanUpdate: nil layers and layers without merge provenance (the
-// snapshot-restore shape) must refuse the delta path.
-func TestCanUpdate(t *testing.T) {
-	var nilTF *TargetFeatures
-	if nilTF.CanUpdate() {
-		t.Error("nil layer claims updatability")
-	}
-	if (&TargetFeatures{}).CanUpdate() {
-		t.Error("layer without colOrder claims updatability")
-	}
+// TestRestoreTargetFeaturesRejects: a flat layer whose vector IDs reach
+// past the dictionary, whose merge order is not a permutation of its
+// column's IDs, or which leaves out a column fails to restore, while
+// the untouched export restores.
+func TestRestoreTargetFeaturesRejects(t *testing.T) {
 	base, _, _ := updateFixture()
-	if !UpdateTargetFeatures(nil, base, tokenize.NewDict(), nil, 2).CanUpdate() {
-		t.Error("fresh parallel build not updatable")
+	tf := buildFeatures(base)
+	fresh := func() *RawTargetFeatures {
+		raw, err := tf.ExportRaw()
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw.NGrams = slices.Clone(raw.NGrams)
+		raw.Orders = slices.Clone(raw.Orders)
+		return raw
+	}
+	if _, err := RestoreTargetFeatures(base, tf.dict, fresh()); err != nil {
+		t.Fatalf("untouched export: %v", err)
+	}
+	edits := map[string]func(raw *RawTargetFeatures){
+		"vector id past the dictionary": func(raw *RawTargetFeatures) {
+			v := &raw.NGrams[0]
+			v.IDs = slices.Clone(v.IDs)
+			v.IDs[len(v.IDs)-1] = uint32(tf.dict.Len())
+		},
+		"order repeats an id": func(raw *RawTargetFeatures) {
+			o := slices.Clone(raw.Orders[0])
+			o[len(o)-1] = o[0]
+			raw.Orders[0] = o
+		},
+		"order lists a foreign id": func(raw *RawTargetFeatures) {
+			o := slices.Clone(raw.Orders[0])
+			for _, id := range raw.Orders[1] {
+				if !slices.Contains(raw.NGrams[0].IDs, id) {
+					o[0] = id
+					break
+				}
+			}
+			raw.Orders[0] = o
+		},
+		"order one short": func(raw *RawTargetFeatures) {
+			raw.Orders[0] = raw.Orders[0][1:]
+		},
+		"order missing": func(raw *RawTargetFeatures) {
+			raw.Orders = raw.Orders[1:]
+		},
+		"column missing": func(raw *RawTargetFeatures) {
+			raw.Numbers = raw.Numbers[1:]
+			raw.NumRanges = raw.NumRanges[1:]
+		},
+	}
+	for name, edit := range edits {
+		raw := fresh()
+		edit(raw)
+		if _, err := RestoreTargetFeatures(base, tf.dict, raw); err == nil {
+			t.Errorf("%s: restored without error", name)
+		}
 	}
 }
 

@@ -128,6 +128,107 @@ func TestTornWritePreservesOldSnapshot(t *testing.T) {
 	}
 }
 
+// patchWithSlowSync sends a PATCH replacing table with doc in catalog
+// "inv" whose eager persist stalls half a second in its fsync, returns
+// once the persist has reached that fsync — with the latency cleared
+// for every later write — and delivers the PATCH's status on the
+// returned channel.
+func patchWithSlowSync(t *testing.T, ts *httptest.Server, reg *fault.Registry, doc TableDoc) <-chan int {
+	t.Helper()
+	reg.Set("fs.sync", fault.Plan{Latency: 500 * time.Millisecond})
+	done := make(chan int, 1)
+	go func() {
+		resp, _ := doJSON(t, http.MethodPatch, ts.URL+"/v1/catalogs/inv", CatalogDeltaDoc{Replace: []TableDoc{doc}})
+		done <- resp.StatusCode
+	}()
+	for deadline := time.Now().Add(10 * time.Second); reg.Hits("fs.sync") == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the PATCH never reached its fsync")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	reg.Clear("fs.sync")
+	return done
+}
+
+// TestOverlappingPersistsKeepNewest: two PATCHes to one catalog whose
+// eager persists overlap — the first one's fsync held up by injected
+// latency until the second PATCH has been applied — must leave the
+// newest generation's snapshot on disk and clean, so neither the
+// drain-time flush nor a restart can fall back to the older rows.
+func TestOverlappingPersistsKeepNewest(t *testing.T) {
+	dir := t.TempDir()
+	reg := fault.NewRegistry()
+	ts, svc := newTestServer(t, func(c *Config) {
+		c.SnapshotDir = dir
+		c.Faults = reg
+	})
+	cat1, _ := fixtureDocs(t, 1)
+	cat2, _ := fixtureDocs(t, 2)
+	if status, _ := putCatalog(t, ts, "inv", cat1); status != http.StatusCreated {
+		t.Fatal("PUT failed")
+	}
+
+	firstDone := patchWithSlowSync(t, ts, reg, cat2.Tables[0])
+	status, info, body := patchCatalog(t, ts, "inv", CatalogDeltaDoc{Replace: []TableDoc{cat1.Tables[0]}})
+	if status != http.StatusOK {
+		t.Fatalf("second PATCH = %d: %s", status, body)
+	}
+	if status := <-firstDone; status != http.StatusOK {
+		t.Fatalf("first PATCH = %d", status)
+	}
+
+	current, ok := svc.Registry().Get("inv")
+	if !ok {
+		t.Fatal("catalog vanished")
+	}
+	if infos := svc.Registry().List(); len(infos) != 1 || infos[0].Generation != info.Generation || info.Generation != 3 {
+		t.Fatalf("listing %+v, second PATCH generation %d; want generation 3 current", infos, info.Generation)
+	}
+	if d := svc.Registry().Dirty(); len(d) != 0 {
+		t.Fatalf("dirty after both persists: %v", d)
+	}
+	var want bytes.Buffer
+	if _, err := current.WriteSnapshot(&want); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(snapshotPath(dir, "inv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatal("the snapshot on disk is not the current generation's, which is marked clean")
+	}
+}
+
+// TestDeleteDuringPersist: a DELETE that arrives while a PATCH's
+// eager persist is still writing — its fsync held up by injected
+// latency — must leave no snapshot behind once that persist finishes,
+// or a restart would bring the deleted catalog back.
+func TestDeleteDuringPersist(t *testing.T) {
+	dir := t.TempDir()
+	reg := fault.NewRegistry()
+	ts, _ := newTestServer(t, func(c *Config) {
+		c.SnapshotDir = dir
+		c.Faults = reg
+	})
+	cat1, _ := fixtureDocs(t, 1)
+	cat2, _ := fixtureDocs(t, 2)
+	if status, _ := putCatalog(t, ts, "inv", cat1); status != http.StatusCreated {
+		t.Fatal("PUT failed")
+	}
+	patched := patchWithSlowSync(t, ts, reg, cat2.Tables[0])
+	if resp, body := doJSON(t, http.MethodDelete, ts.URL+"/v1/catalogs/inv", nil); resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("DELETE = %d: %s", resp.StatusCode, body)
+	}
+	if status := <-patched; status != http.StatusOK {
+		t.Fatalf("PATCH = %d", status)
+	}
+	if _, err := os.Stat(snapshotPath(dir, "inv")); !os.IsNotExist(err) {
+		t.Fatalf("the deleted catalog's snapshot is on disk after the in-flight persist finished (%v)", err)
+	}
+}
+
 // TestWarmRestartMatrix is the restore matrix satellite: over
 // {truncated, bit-flipped, zero-length, valid} snapshot files the
 // daemon must come up serving every valid catalog, answer 503 only

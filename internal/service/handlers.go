@@ -289,12 +289,8 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 	// the drain-time flush (the entry stays dirty), never fails the
 	// upload.
 	if s.cfg.SnapshotDir != "" {
-		if t, ok := s.reg.Get(name); ok {
-			if err := s.persistSnapshot(name, t); err != nil {
-				s.log.Warn("persisting snapshot", "name", name, "err", err)
-			} else {
-				s.reg.MarkClean(name, t)
-			}
+		if err := s.persistCurrent(name, nil, nil); err != nil {
+			s.log.Warn("persisting snapshot", "name", name, "err", err)
 		}
 	}
 	status := http.StatusCreated
@@ -352,12 +348,8 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 	// Like handlePut: persist the fresh generation eagerly; a failure
 	// only defers it to the drain-time flush (the entry stays dirty).
 	if s.cfg.SnapshotDir != "" {
-		if t, ok := s.reg.Get(name); ok {
-			if err := s.persistSnapshot(name, t); err != nil {
-				s.log.Warn("persisting snapshot", "name", name, "err", err)
-			} else {
-				s.reg.MarkClean(name, t)
-			}
+		if err := s.persistCurrent(name, nil, nil); err != nil {
+			s.log.Warn("persisting snapshot", "name", name, "err", err)
 		}
 	}
 	s.writeJSON(w, http.StatusOK, info)
@@ -387,10 +379,12 @@ func (s *Server) handleGetSnapshot(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePutSnapshot installs a catalog from an uploaded snapshot — the
-// replication upload. No preparation runs: the handle is restored by
-// ctxmatch.LoadTarget and published under the name with Prepare's
-// replace/evict semantics, and the raw uploaded bytes are persisted
-// verbatim when a snapshot directory is configured.
+// replication upload. No preparation runs for a current-format
+// snapshot: the handle is restored by ctxmatch.LoadTarget and published
+// under the name with Prepare's replace/evict semantics. When a
+// snapshot directory is configured the raw uploaded bytes are persisted
+// verbatim, unless the upload is in an older format (LoadTarget
+// re-prepared it), which is persisted in the current one instead.
 func (s *Server) handlePutSnapshot(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if len(name) > 128 {
@@ -418,10 +412,8 @@ func (s *Server) handlePutSnapshot(w http.ResponseWriter, r *http.Request) {
 		"generation", info.Generation, "bytes", len(body),
 		"tables", info.Tables, "rows", info.Rows)
 	if s.cfg.SnapshotDir != "" {
-		if err := s.persistRaw(name, body); err != nil {
+		if err := s.persistCurrent(name, target, body); err != nil {
 			s.log.Warn("persisting snapshot", "name", name, "err", err)
-		} else {
-			s.reg.MarkClean(name, target)
 		}
 	}
 	status := http.StatusCreated
@@ -433,6 +425,11 @@ func (s *Server) handlePutSnapshot(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
+	// Under the name's persist lock, so a persist already writing the
+	// catalog cannot land its file after the removal below.
+	mu := s.reg.nameLock(s.reg.persistMu, name)
+	mu.Lock()
+	defer mu.Unlock()
 	if !s.reg.Delete(name) {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("no catalog %q", name))
 		return

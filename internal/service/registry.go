@@ -43,9 +43,10 @@ type Registry struct {
 	// updMu serializes Update calls per name (outside the registry
 	// lock), so two concurrent deltas compose — the second derives from
 	// the first's result — instead of both deriving from the same base
-	// and the last install silently dropping one. Entries are tiny and
-	// live for the registry's lifetime.
-	updMu map[string]*sync.Mutex
+	// and the last install silently dropping one. persistMu serializes
+	// the server's snapshot persists per name (see persistCurrent).
+	// Entries are tiny and live for the registry's lifetime.
+	updMu, persistMu map[string]*sync.Mutex
 }
 
 // Observer is notified of registry mutations: every publish of a
@@ -86,8 +87,22 @@ func NewRegistry(m *ctxmatch.Matcher, cap int) *Registry {
 		cap:     cap,
 		entries: map[string]*catalogEntry{},
 		gens:    map[string]int{},
-		updMu:   map[string]*sync.Mutex{},
+
+		updMu:     map[string]*sync.Mutex{},
+		persistMu: map[string]*sync.Mutex{},
 	}
+}
+
+// nameLock returns the mutex locks holds for name, creating it.
+func (r *Registry) nameLock(locks map[string]*sync.Mutex, name string) *sync.Mutex {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	mu := locks[name]
+	if mu == nil {
+		mu = &sync.Mutex{}
+		locks[name] = mu
+	}
+	return mu
 }
 
 // Update applies a catalog delta to name's current handle and installs
@@ -99,13 +114,7 @@ func NewRegistry(m *ctxmatch.Matcher, cap int) *Registry {
 // found is false when the name is not installed; err carries
 // ctxmatch.ErrInvalidDelta (and friends) from the delta application.
 func (r *Registry) Update(ctx context.Context, name string, delta ctxmatch.CatalogDelta) (info CatalogInfo, evicted []string, found bool, err error) {
-	r.mu.Lock()
-	mu := r.updMu[name]
-	if mu == nil {
-		mu = &sync.Mutex{}
-		r.updMu[name] = mu
-	}
-	r.mu.Unlock()
+	mu := r.nameLock(r.updMu, name)
 	mu.Lock()
 	defer mu.Unlock()
 
@@ -215,6 +224,18 @@ func (r *Registry) Dirty() map[string]*ctxmatch.Target {
 		}
 	}
 	return out
+}
+
+// Pending returns name's current handle and whether its snapshot
+// persistence is pending, without touching recency; a missing name is
+// not pending.
+func (r *Registry) Pending(name string) (*ctxmatch.Target, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if e, ok := r.entries[name]; ok {
+		return e.target, e.dirty
+	}
+	return nil, false
 }
 
 // MarkClean records that name's snapshot persistence is done, but only

@@ -178,10 +178,7 @@ func (rp *Replicator) PullInto(ctx context.Context, s *Server, name string) erro
 		s.removeQuarantined(victim)
 	}
 	if s.cfg.SnapshotDir != "" {
-		if err := s.persistRaw(name, raw); err != nil {
-			return err
-		}
-		s.reg.MarkClean(name, target)
+		return s.persistCurrent(name, target, raw)
 	}
 	return nil
 }

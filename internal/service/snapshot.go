@@ -26,21 +26,40 @@ func snapshotPath(dir, name string) string {
 	return filepath.Join(dir, url.PathEscape(name)+".snap")
 }
 
-// persistSnapshot streams the handle's snapshot into name's *.snap
-// file.
-func (s *Server) persistSnapshot(name string, t *ctxmatch.Target) error {
-	return s.persist(name, func(w io.Writer) error {
+// persistCurrent writes name's current generation to its *.snap file if
+// that generation is still dirty, then marks it clean. Persists of one
+// name run one at a time, and each writes the handle that is current
+// when it starts, so an older request's write can never land after a
+// newer generation was marked clean: a request whose generation was
+// superseded while it waited writes the newer one, or nothing when that
+// is already on disk. raw, when not nil, is upload's snapshot as
+// received, written verbatim while upload is still current — unless it
+// is in an older format (LoadTarget re-prepared it), which is rewritten
+// in the current one. A failure leaves the entry dirty for the
+// drain-time flush.
+func (s *Server) persistCurrent(name string, upload *ctxmatch.Target, raw []byte) error {
+	mu := s.reg.nameLock(s.reg.persistMu, name)
+	mu.Lock()
+	defer mu.Unlock()
+	t, dirty := s.reg.Pending(name)
+	if !dirty {
+		return nil
+	}
+	write := func(w io.Writer) error {
 		_, err := t.WriteSnapshot(w)
 		return err
-	})
-}
-
-// persistRaw replaces name's *.snap file with data.
-func (s *Server) persistRaw(name string, data []byte) error {
-	return s.persist(name, func(w io.Writer) error {
-		_, err := w.Write(data)
+	}
+	if t == upload && raw != nil && !t.Prepared().Upgraded() {
+		write = func(w io.Writer) error {
+			_, err := w.Write(raw)
+			return err
+		}
+	}
+	if err := s.persist(name, write); err != nil {
 		return err
-	})
+	}
+	s.reg.MarkClean(name, t)
+	return nil
 }
 
 // persist atomically and durably replaces name's *.snap file with what
@@ -176,10 +195,15 @@ func (s *Server) RestoreSnapshots() (int, error) {
 			continue
 		}
 		info, _, _ := s.reg.Install(name, target)
-		// The file on disk is exactly what we just loaded.
-		s.reg.MarkClean(name, target)
+		// The file on disk is exactly what we just loaded — unless it is
+		// in an older format, which the drain flush or the catalog's
+		// next write rewrites in the current one.
+		upgraded := target.Prepared().Upgraded()
+		if !upgraded {
+			s.reg.MarkClean(name, target)
+		}
 		s.log.Info("catalog restored from snapshot", "name", name,
-			"bytes", info.SnapshotBytes, "tables", info.Tables, "rows", info.Rows)
+			"bytes", info.SnapshotBytes, "tables", info.Tables, "rows", info.Rows, "upgraded", upgraded)
 		restored++
 		s.restored.Add(1)
 		s.metrics.snapshotRestores.Inc()
@@ -197,12 +221,10 @@ func (s *Server) FlushSnapshots() error {
 		return nil
 	}
 	var errs []error
-	for name, t := range s.reg.Dirty() {
-		if err := s.persistSnapshot(name, t); err != nil {
+	for name := range s.reg.Dirty() {
+		if err := s.persistCurrent(name, nil, nil); err != nil {
 			errs = append(errs, err)
-			continue
 		}
-		s.reg.MarkClean(name, t)
 	}
 	return errors.Join(errs...)
 }

@@ -168,6 +168,57 @@ func TestSnapshotPersistAndRestore(t *testing.T) {
 	}
 }
 
+// TestRestoreUpgradesV1Snapshot: a format-1 snapshot in the directory
+// restores — re-prepared from the catalog it carries — but stays dirty,
+// so the drain-time flush rewrites it in the current format, which the
+// next restart restores clean. A format-1 upload is persisted in the
+// current format too, not verbatim.
+func TestRestoreUpgradesV1Snapshot(t *testing.T) {
+	dir := t.TempDir()
+	v1, err := os.ReadFile("../snapshot/testdata/v1-small.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := snapshotPath(dir, "small")
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, svc := newTestServer(t, func(c *Config) { c.SnapshotDir = dir })
+	if n, err := svc.RestoreSnapshots(); err != nil || n != 1 {
+		t.Fatalf("RestoreSnapshots = %d, %v; want 1, nil", n, err)
+	}
+	if _, dirty := svc.Registry().Dirty()["small"]; !dirty {
+		t.Fatal("a catalog restored from a format-1 snapshot is not dirty")
+	}
+	if err := svc.FlushSnapshots(); err != nil {
+		t.Fatal(err)
+	}
+	v2, err := os.ReadFile("../snapshot/testdata/v2-small.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, v2) {
+		t.Fatalf("the flush did not rewrite the snapshot in format 2 (%v)", err)
+	}
+	ts, again := newTestServer(t, func(c *Config) { c.SnapshotDir = dir })
+	if n, err := again.RestoreSnapshots(); err != nil || n != 1 {
+		t.Fatalf("second RestoreSnapshots = %d, %v; want 1, nil", n, err)
+	}
+	if d := again.Registry().Dirty(); len(d) != 0 {
+		t.Errorf("a catalog restored from its rewritten snapshot is dirty: %v", d)
+	}
+
+	if status, body := putRaw(t, ts.URL+"/v1/catalogs/uploaded/snapshot", v1); status != http.StatusCreated {
+		t.Fatalf("PUT format-1 snapshot = %d: %s", status, body)
+	}
+	if got, err := os.ReadFile(snapshotPath(dir, "uploaded")); err != nil || !bytes.Equal(got, v2) {
+		t.Errorf("a format-1 upload was not persisted in format 2 (%v)", err)
+	}
+	if d := again.Registry().Dirty(); len(d) != 0 {
+		t.Errorf("dirty after persisting the upload: %v", d)
+	}
+}
+
 // TestFlushSnapshots: a handle installed without a persisted file is
 // dirty, and the drain-time flush writes exactly the dirty entries.
 func TestFlushSnapshots(t *testing.T) {

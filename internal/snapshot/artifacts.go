@@ -4,7 +4,6 @@ import (
 	"io"
 	"io/fs"
 
-	"ctxmatch/internal/classify"
 	"ctxmatch/internal/match"
 	"ctxmatch/internal/relational"
 	"ctxmatch/internal/tokenize"
@@ -30,24 +29,29 @@ type Options struct {
 
 // Artifacts is everything one prepared-target snapshot carries: the
 // target schema with its sample instance, the matching configuration,
-// and the pure-data artifacts preparation compiled from them — the
-// frozen gram dictionary, the column feature layer (with its candidate
-// index) and the frozen per-domain classifiers, indexed by
-// relational.Domain.
+// and the pure-data artifacts preparation built from them — the frozen
+// gram dictionary and the column feature layer, with its candidate
+// index and per-column gram merge orders. The per-domain target
+// classifiers are not carried: they are a pure function of the feature
+// layer and the rows, which the loader compiles them from.
 type Artifacts struct {
-	Schema         *relational.Schema
-	Options        Options
-	Engine         *match.Engine
-	Dict           *tokenize.Dict
-	Features       *match.TargetFeatures
-	HasClassifiers bool
-	Classifiers    [relational.DomainBool + 1]classify.FrozenClassifier
+	Schema  *relational.Schema
+	Options Options
+	Engine  *match.Engine
+	// Dict and Features are nil when Version is 1: a format-1 snapshot
+	// lacks the merge orders a delta update replays, so its catalog is
+	// re-prepared from Schema and Options instead of restored.
+	Dict     *tokenize.Dict
+	Features *match.TargetFeatures
+	// Version is the format version Read found. Write ignores it and
+	// always writes the current Version.
+	Version int
 }
 
-// Write serializes the artifact set as one snapshot container and
-// returns how many bytes it wrote. Content the format cannot carry —
-// view tables, custom matcher or classifier types — fails with
-// ErrUnsupported before anything is written to w.
+// Write serializes the artifact set, whose Dict and Features must be
+// set, as one snapshot container and returns how many bytes it wrote.
+// Content the format cannot carry — view tables, custom matcher types —
+// fails with ErrUnsupported before anything is written to w.
 func Write(w io.Writer, a *Artifacts) (int64, error) {
 	var cw writer
 	if err := encodeMeta(cw.section(secMeta), a); err != nil {
@@ -64,11 +68,6 @@ func Write(w io.Writer, a *Artifacts) (int64, error) {
 	encodeFeatures(cw.section(secFeatures), raw)
 	if raw.Index != nil {
 		encodeIndex(cw.section(secIndex), raw.Index)
-	}
-	if a.HasClassifiers {
-		if err := encodeClassifiers(cw.section(secClassifiers), a); err != nil {
-			return 0, err
-		}
 	}
 	return cw.writeTo(w)
 }
@@ -114,7 +113,9 @@ func readAll(r io.Reader) ([]byte, error) {
 // ErrTruncated, ErrUnsupported) — never a panic, and never an
 // allocation beyond a small multiple of the input's own size. On
 // little-endian hosts the restored numeric tables (posting lists,
-// log-likelihoods, column vectors) alias the read buffer directly.
+// column vectors, merge orders) alias the read buffer directly. A
+// format-1 container is checked section by section as ever, but only
+// its schema and configuration are decoded (see Artifacts).
 func Read(r io.Reader) (*Artifacts, int, error) {
 	data, err := readAll(r)
 	if err != nil {
@@ -124,7 +125,7 @@ func Read(r io.Reader) (*Artifacts, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	a := &Artifacts{}
+	a := &Artifacts{Version: c.version}
 	d, err := c.open(secMeta)
 	if err != nil {
 		return nil, 0, err
@@ -137,6 +138,20 @@ func Read(r io.Reader) (*Artifacts, int, error) {
 	}
 	if a.Schema, err = decodeSchema(d); err != nil {
 		return nil, 0, err
+	}
+	if a.Version == 1 {
+		// Format 1's feature section leads with the retired n-gram
+		// value cap, written as 0.
+		if d, err = c.open(secFeatures); err != nil {
+			return nil, 0, err
+		}
+		if d.i64() != 0 {
+			return nil, 0, errUnsupportedf("features built under an n-gram value cap, which this build no longer runs")
+		}
+		if err := d.err(); err != nil {
+			return nil, 0, err
+		}
+		return a, c.size, nil
 	}
 	if d, err = c.open(secDict); err != nil {
 		return nil, 0, err
@@ -161,15 +176,6 @@ func Read(r io.Reader) (*Artifacts, int, error) {
 	}
 	if a.Features, err = match.RestoreTargetFeatures(a.Schema, a.Dict, raw); err != nil {
 		return nil, 0, errFormatf("features: %v", err)
-	}
-	if c.has(secClassifiers) {
-		if d, err = c.open(secClassifiers); err != nil {
-			return nil, 0, err
-		}
-		if err := decodeClassifiers(d, a); err != nil {
-			return nil, 0, err
-		}
-		a.HasClassifiers = true
 	}
 	return a, c.size, nil
 }
@@ -196,10 +202,6 @@ func encodeMeta(e *enc, a *Artifacts) error {
 	e.i64(int64(o.Parallelism))
 
 	e.f64(a.Engine.EvidenceScale)
-	// Reserved: the retired exhaustive-engine flag, written as 0 so
-	// format version 1 stays byte-identical; readers reject any other
-	// value.
-	e.u8(0)
 	e.u32(uint32(len(a.Engine.Matchers)))
 	for _, m := range a.Engine.Matchers {
 		switch m := m.(type) {
@@ -209,11 +211,9 @@ func encodeMeta(e *enc, a *Artifacts) error {
 		case match.ValueNGramMatcher:
 			e.u8(matcherNGram)
 			e.f64(m.W)
-			e.i64(0) // reserved: the retired n-gram value cap
 		case match.NumericMatcher:
 			e.u8(matcherNumeric)
 			e.f64(m.W)
-			e.i64(0) // reserved: the retired histogram bin count
 		case match.TypeMatcher:
 			e.u8(matcherType)
 			e.f64(m.W)
@@ -239,11 +239,16 @@ func decodeMeta(d *dec, a *Artifacts) error {
 
 	eng := &match.Engine{}
 	eng.EvidenceScale = d.f64()
-	if flag := d.u8(); flag != 0 {
-		return errUnsupportedf("engine flag byte %d: exhaustive-engine snapshots are no longer readable", flag)
+	// Format 1 keeps three retired fields, written as 0: the
+	// exhaustive-engine flag byte here, and an i64 after the n-gram and
+	// the numeric matcher's weights, where older builds stored an n-gram
+	// value cap and a histogram bin count. retired ORs the latter two.
+	v1 := a.Version == 1
+	if v1 {
+		if flag := d.u8(); flag != 0 {
+			return errUnsupportedf("engine flag byte %d: exhaustive-engine snapshots are no longer readable", flag)
+		}
 	}
-	// retired ORs the reserved fields, written as 0, where older builds
-	// stored an n-gram value cap and a histogram bin count.
 	var retired int64
 	nm := int(d.u32())
 	for i := 0; i < nm && d.err() == nil; i++ {
@@ -252,10 +257,14 @@ func decodeMeta(d *dec, a *Artifacts) error {
 			eng.Matchers = append(eng.Matchers, match.NameMatcher{W: d.f64()})
 		case matcherNGram:
 			eng.Matchers = append(eng.Matchers, match.ValueNGramMatcher{W: d.f64()})
-			retired |= d.i64()
+			if v1 {
+				retired |= d.i64()
+			}
 		case matcherNumeric:
 			eng.Matchers = append(eng.Matchers, match.NumericMatcher{W: d.f64()})
-			retired |= d.i64()
+			if v1 {
+				retired |= d.i64()
+			}
 		case matcherType:
 			eng.Matchers = append(eng.Matchers, match.TypeMatcher{W: d.f64()})
 		default:
@@ -370,12 +379,20 @@ func decodeSchema(d *dec) (*relational.Schema, error) {
 	for ti := 0; ti < nTables && d.err() == nil; ti++ {
 		t := &relational.Table{Name: d.str()}
 		nAttrs := int(d.u32())
+		names := map[string]bool{}
 		for ai := 0; ai < nAttrs && d.err() == nil; ai++ {
 			name := d.str()
 			typ := d.u8()
-			if d.err() == nil && typ > uint8(relational.Bool) {
+			if d.err() != nil {
+				break
+			}
+			if typ > uint8(relational.Bool) {
 				return nil, errFormatf("table %q attribute %q has unknown type %d", t.Name, name, typ)
 			}
+			if names[name] {
+				return nil, errFormatf("table %q repeats attribute %q", t.Name, name)
+			}
+			names[name] = true
 			t.Attrs = append(t.Attrs, relational.Attribute{Name: name, Type: relational.Type(typ)})
 		}
 		nRows := int(d.u32())
@@ -521,8 +538,9 @@ func decodeVector(d *dec) match.RawVector {
 	return match.RawVector{IDs: d.u32s(), Counts: d.f64s(), Norm: d.f64()}
 }
 
+// encodeFeatures writes the feature layer, ending with each string
+// column's merge order in StrCols order.
 func encodeFeatures(e *enc, raw *match.RawTargetFeatures) {
-	e.i64(0) // reserved: the retired n-gram value cap
 	e.u32(uint32(len(raw.StrCols)))
 	for i, r := range raw.StrCols {
 		e.u32(uint32(r.Table))
@@ -548,12 +566,12 @@ func encodeFeatures(e *enc, raw *match.RawTargetFeatures) {
 		e.str(nv.Name)
 		encodeVector(e, nv.Vec)
 	}
+	for _, order := range raw.Orders {
+		e.u32s(order)
+	}
 }
 
 func decodeFeatures(d *dec) (*match.RawTargetFeatures, error) {
-	if d.i64() != 0 { // reserved: the retired n-gram value cap
-		return nil, errUnsupportedf("features built under an n-gram value cap, which this build no longer runs")
-	}
 	raw := &match.RawTargetFeatures{}
 	nStr := int(d.u32())
 	for i := 0; i < nStr && d.err() == nil; i++ {
@@ -583,6 +601,9 @@ func decodeFeatures(d *dec) (*match.RawTargetFeatures, error) {
 	for i := 0; i < nNames && d.err() == nil; i++ {
 		raw.Names = append(raw.Names, match.RawNameVector{Name: d.str(), Vec: decodeVector(d)})
 	}
+	for i := 0; i < nStr && d.err() == nil; i++ {
+		raw.Orders = append(raw.Orders, d.u32s())
+	}
 	if err := d.err(); err != nil {
 		return nil, err
 	}
@@ -607,129 +628,4 @@ func decodeIndex(d *dec) (*tokenize.RawIndex, error) {
 		return nil, err
 	}
 	return raw, nil
-}
-
-// Classifier type tags of the classifier section.
-const (
-	clsNone       uint8 = 0
-	clsNaiveBayes uint8 = 1
-	clsGaussian   uint8 = 2
-	clsMajority   uint8 = 3
-)
-
-// classifierDomains is the canonical domain order of the classifier
-// section, matching the order the core package trains and freezes in.
-var classifierDomains = [...]relational.Domain{
-	relational.DomainString, relational.DomainNumber, relational.DomainBool,
-}
-
-func encodeLabels(e *enc, labels []string) {
-	e.u32(uint32(len(labels)))
-	for _, l := range labels {
-		e.str(l)
-	}
-}
-
-func decodeLabels(d *dec) []string {
-	n := int(d.u32())
-	var out []string
-	for i := 0; i < n && d.err() == nil; i++ {
-		out = append(out, d.str())
-	}
-	return out
-}
-
-func encodeClassifiers(e *enc, a *Artifacts) error {
-	for _, dom := range classifierDomains {
-		switch c := a.Classifiers[dom].(type) {
-		case nil:
-			e.u8(clsNone)
-		case *classify.FrozenNaiveBayes:
-			raw := c.Raw()
-			e.u8(clsNaiveBayes)
-			encodeLabels(e, raw.Labels)
-			e.f64s(raw.LogPrior)
-			e.f64s(raw.OOV)
-			e.u32(uint32(raw.TableGrams))
-			e.f64s(raw.Lik)
-			e.boolean(raw.Trained)
-		case *classify.FrozenGaussian:
-			raw := c.Raw()
-			e.u8(clsGaussian)
-			encodeLabels(e, raw.Labels)
-			e.f64s(raw.Base)
-			e.f64s(raw.Mean)
-			e.f64s(raw.TwoVar)
-			e.i64(int64(raw.MajorityIdx))
-			e.boolean(raw.Trained)
-		case *classify.FrozenMajority:
-			raw := c.Raw()
-			e.u8(clsMajority)
-			encodeLabels(e, raw.Labels)
-			e.i64(int64(raw.BestIdx))
-			e.boolean(raw.Trained)
-		default:
-			return errUnsupportedf("classifier type %T cannot be serialized", c)
-		}
-	}
-	return nil
-}
-
-func decodeClassifiers(d *dec, a *Artifacts) error {
-	for _, dom := range classifierDomains {
-		tag := d.u8()
-		if d.err() != nil {
-			break
-		}
-		var (
-			cls classify.FrozenClassifier
-			err error
-		)
-		switch tag {
-		case clsNone:
-			continue
-		case clsNaiveBayes:
-			raw := &classify.RawNaiveBayes{
-				Labels:     decodeLabels(d),
-				LogPrior:   d.f64s(),
-				OOV:        d.f64s(),
-				TableGrams: int(d.u32()),
-				Lik:        d.f64s(),
-				Trained:    d.boolean(),
-			}
-			if d.err() == nil {
-				cls, err = classify.RestoreNaiveBayes(a.Dict, raw)
-			}
-		case clsGaussian:
-			raw := &classify.RawGaussian{
-				Labels:      decodeLabels(d),
-				Base:        d.f64s(),
-				Mean:        d.f64s(),
-				TwoVar:      d.f64s(),
-				MajorityIdx: int(d.i64()),
-				Trained:     d.boolean(),
-			}
-			if d.err() == nil {
-				cls, err = classify.RestoreGaussian(raw)
-			}
-		case clsMajority:
-			raw := &classify.RawMajority{
-				Labels:  decodeLabels(d),
-				BestIdx: int(d.i64()),
-				Trained: d.boolean(),
-			}
-			if d.err() == nil {
-				cls, err = classify.RestoreMajority(raw)
-			}
-		default:
-			return errUnsupportedf("unknown classifier tag %d for domain %v", tag, dom)
-		}
-		if err != nil {
-			return errFormatf("%v classifier: %v", dom, err)
-		}
-		if d.err() == nil {
-			a.Classifiers[dom] = cls
-		}
-	}
-	return d.err()
 }

@@ -124,11 +124,11 @@ func TestElementwiseFallback(t *testing.T) {
 	}
 }
 
-// TestElementwiseFallbackWrite: writing testdata/v1-small.snap's
+// TestElementwiseFallbackWrite: writing testdata/v2-small.snap's
 // catalog (smallCatalog under default options) with the element-wise
 // encoder forced reproduces the file, as the normal encoder does.
 func TestElementwiseFallbackWrite(t *testing.T) {
-	data, err := os.ReadFile("testdata/v1-small.snap")
+	data, err := os.ReadFile("testdata/v2-small.snap")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,17 @@
 // Package snapshot implements the versioned binary persistence format
-// for prepared target catalogs: everything a core.PreparedTarget pins —
-// the sample schema, the frozen gram dictionary, the precomputed column
-// feature layer, the inverted gram-ID candidate index and the frozen
-// per-domain classifiers — serialized so a serving node can restore a
-// catalog in milliseconds instead of re-preparing it.
+// for prepared target catalogs: what a core.PreparedTarget pins that a
+// load cannot cheaply recompute — the sample schema, the frozen gram
+// dictionary, the precomputed column feature layer with each string
+// column's gram merge order, and the inverted gram-ID candidate index —
+// serialized so a serving node can restore a catalog in milliseconds
+// instead of re-preparing it. The per-domain target classifiers are a
+// pure function of the feature layer and the rows, so the loader
+// compiles them instead of reading them.
 //
 // The container is a magic + format version header followed by a
 // section table (id, CRC32, offset, length per section) and the section
 // payloads at 8-byte-aligned offsets. Numeric bulk data — posting
-// lists, log-likelihood tables, column vectors — is laid out as flat
+// lists, column vectors, merge orders — is laid out as flat
 // little-endian arrays, so the loader reconstructs the hot slices by
 // aliasing one contiguous buffer instead of decoding element by
 // element. The design follows the same versioned-envelope discipline as
@@ -62,19 +65,20 @@ func errUnsupportedf(format string, args ...any) error {
 // magic identifies a prepared-catalog snapshot container.
 var magic = [6]byte{'C', 'T', 'X', 'S', 'N', 'P'}
 
-// Version is the current snapshot format version. Readers reject any
-// other value with ErrVersion; bump it on any incompatible layout
-// change.
-const Version = 1
+// Version is the snapshot format version Write produces; bump it on
+// any incompatible layout change. Read also accepts format 1, whose
+// catalogs come back for re-preparing (see Artifacts), and rejects any
+// other value with ErrVersion.
+const Version = 2
 
-// Section ids of format version 1.
+// Section ids. Format 1 also wrote a section 6, the frozen per-domain
+// classifiers, which format 2 compiles at load instead.
 const (
-	secMeta        uint32 = 1 // options + engine configuration
-	secSchema      uint32 = 2 // target schema with its sample instance
-	secDict        uint32 = 3 // frozen gram dictionary, grams in ID order
-	secFeatures    uint32 = 4 // precomputed column feature layer
-	secIndex       uint32 = 5 // inverted gram-ID candidate index
-	secClassifiers uint32 = 6 // frozen per-domain target classifiers
+	secMeta     uint32 = 1 // options + engine configuration
+	secSchema   uint32 = 2 // target schema with its sample instance
+	secDict     uint32 = 3 // frozen gram dictionary, grams in ID order
+	secFeatures uint32 = 4 // column feature layer and merge orders
+	secIndex    uint32 = 5 // inverted gram-ID candidate index
 )
 
 // headerSize is the fixed prefix: magic, u16 version, u32 section
@@ -87,7 +91,7 @@ const headerSize = 16
 const tableEntrySize = 24
 
 // maxSections bounds the section count a reader will allocate a table
-// for; version 1 writes exactly 5 or 6.
+// for; format 2 writes 4 or 5 sections, format 1 wrote up to 6.
 const maxSections = 64
 
 type section struct {
@@ -157,6 +161,7 @@ func (w *writer) writeTo(out io.Writer) (int64, error) {
 type container struct {
 	sections map[uint32][]byte
 	size     int
+	version  int
 }
 
 // parseContainer validates the header, the section table and every
@@ -168,9 +173,9 @@ func parseContainer(data []byte) (*container, error) {
 	if !bytes.Equal(data[:len(magic)], magic[:]) {
 		return nil, errFormatf("bad magic %q", data[:len(magic)])
 	}
-	version := uint16(data[6]) | uint16(data[7])<<8
-	if version != Version {
-		return nil, fmt.Errorf("%w: snapshot version %d, this build reads version %d", ErrVersion, version, Version)
+	version := int(data[6]) | int(data[7])<<8
+	if version < 1 || version > Version {
+		return nil, fmt.Errorf("%w: snapshot version %d, this build reads versions 1 to %d", ErrVersion, version, Version)
 	}
 	d := &dec{buf: data, off: 8}
 	count := int(d.u32())
@@ -181,7 +186,7 @@ func parseContainer(data []byte) (*container, error) {
 	if len(data) < headerSize+tableEntrySize*count {
 		return nil, errTruncatedf("%d bytes cannot hold a %d-section table", len(data), count)
 	}
-	c := &container{sections: make(map[uint32][]byte, count), size: len(data)}
+	c := &container{sections: make(map[uint32][]byte, count), size: len(data), version: version}
 	for i := 0; i < count; i++ {
 		id := d.u32()
 		crc := d.u32()

@@ -73,30 +73,43 @@ func writeSmall(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-// Container layout of format version 1: a 16-byte header (magic, u16
-// version, u32 section count, u32 reserved) and one 24-byte table entry
-// per section (u32 id, u32 CRC32, u64 offset, u64 length).
+// golden reads a committed snapshot from testdata.
+func golden(t *testing.T, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile("testdata/" + name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// Container layout of both format versions: a 16-byte header (magic,
+// u16 version, u32 section count, u32 reserved) and one 24-byte table
+// entry per section (u32 id, u32 CRC32, u64 offset, u64 length).
 const (
 	headerSize     = 16
 	tableEntrySize = 24
 	secMeta        = 1
+	secDict        = 3
+	secFeatures    = 4
+	secIndex       = 5
+	secClassifiers = 6 // format 1 only
 )
 
-// metaFlagOffset is where the meta section holds the byte that was the
-// exhaustive-engine flag: after ten option fields (tau, omega, early
-// disjuncts, inference, selection, significance, train fraction, max
-// depth, seed, parallelism — 65 bytes) and the f64 evidence scale.
+// metaFlagOffset is where a format-1 meta section holds the byte that
+// was the exhaustive-engine flag: after ten option fields (tau, omega,
+// early disjuncts, inference, selection, significance, train fraction,
+// max depth, seed, parallelism — 65 bytes) and the f64 evidence scale.
 const metaFlagOffset = 65 + 8
 
-// Reserved i64 fields that held retired engine settings, written as 0.
-// In the meta section, the flag byte and a u32 matcher count precede
-// the default suite's matchers — name, value n-gram, numeric, type —
-// each a tag byte and an f64 weight; the n-gram matcher's weight is
-// followed by its former value cap, the numeric matcher's by its former
-// histogram bin count. The feature section leads with the former value
-// cap.
+// Reserved i64 fields of format 1 that held retired engine settings,
+// written as 0. In the meta section, the flag byte and a u32 matcher
+// count precede the default suite's matchers — name, value n-gram,
+// numeric, type — each a tag byte and an f64 weight; the n-gram
+// matcher's weight is followed by its former value cap, the numeric
+// matcher's by its former histogram bin count. The feature section
+// leads with the former value cap.
 const (
-	secFeatures        = 4
 	metaNGramCapOffset = metaFlagOffset + 1 + 4 + (1 + 8) + (1 + 8)
 	metaBinsOffset     = metaNGramCapOffset + 8 + (1 + 8)
 	featuresCapOffset  = 0
@@ -149,8 +162,8 @@ func TestWriteReadWrite(t *testing.T) {
 	if n != len(data) {
 		t.Errorf("Read reported %d bytes, snapshot has %d", n, len(data))
 	}
-	if !a.HasClassifiers || a.Features.Index() == nil {
-		t.Fatalf("small catalog lost a section: classifiers %v, index %v", a.HasClassifiers, a.Features.Index() != nil)
+	if a.Features.Index() == nil {
+		t.Fatal("small catalog lost its index section")
 	}
 	var again bytes.Buffer
 	if _, err := snapshot.Write(&again, a); err != nil {
@@ -172,12 +185,12 @@ func TestWriteReadWrite(t *testing.T) {
 	}
 }
 
-// TestFormerEngineFlagUnsupported: the meta byte that held the retired
-// exhaustive-engine flag is always written as 0, and a snapshot with it
-// set — CRC intact, so the checksum is not what fails — is content
-// this reader does not support.
+// TestFormerEngineFlagUnsupported: the format-1 meta byte that held the
+// retired exhaustive-engine flag was always written as 0, and a
+// format-1 snapshot with it set — CRC intact, so the checksum is not
+// what fails — is content this reader does not support.
 func TestFormerEngineFlagUnsupported(t *testing.T) {
-	data := writeSmall(t)
+	data := golden(t, "v1-small.snap")
 	meta := sections(t, data)[secMeta]
 	if got := data[meta.off+metaFlagOffset]; got != 0 {
 		t.Fatalf("former engine flag written as %d, want 0", got)
@@ -190,12 +203,13 @@ func TestFormerEngineFlagUnsupported(t *testing.T) {
 	}
 }
 
-// TestReservedEngineFieldsUnsupported: the fields that held the n-gram
-// value cap and the histogram bin count are always written as 0, and a
-// snapshot with any of them set — CRC intact, so the checksum is not
-// what fails — describes an engine this build does not run.
+// TestReservedEngineFieldsUnsupported: the format-1 fields that held
+// the n-gram value cap and the histogram bin count were always written
+// as 0, and a format-1 snapshot with any of them set — CRC intact, so
+// the checksum is not what fails — describes an engine this build does
+// not run.
 func TestReservedEngineFieldsUnsupported(t *testing.T) {
-	data := writeSmall(t)
+	data := golden(t, "v1-small.snap")
 	secs := sections(t, data)
 	meta := secs[secMeta]
 	if tag := data[meta.off+metaNGramCapOffset-9]; tag != 2 {
@@ -260,16 +274,13 @@ func TestEveryTruncationFails(t *testing.T) {
 }
 
 // TestGoldenV1Snapshot: testdata/v1-small.snap is smallCatalog prepared
-// under default options and written while the meta section still
-// carried the exhaustive-engine flag. It must load, and writing the
-// loaded handle must reproduce the file byte for byte — a check that
-// recomputes nothing, so it holds on any toolchain. Regenerate the file
-// only together with a format version bump.
+// under default options and written in format 1, while the meta section
+// still carried the exhaustive-engine flag. It must load — re-prepared
+// from the schema and options it carries — and writing the loaded
+// handle must reproduce testdata/v2-small.snap byte for byte, the
+// format-2 snapshot of the same catalog. Never regenerate the file.
 func TestGoldenV1Snapshot(t *testing.T) {
-	data, err := os.ReadFile("testdata/v1-small.snap")
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := golden(t, "v1-small.snap")
 	tgt, err := ctxmatch.LoadTarget(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +292,100 @@ func TestGoldenV1Snapshot(t *testing.T) {
 	if _, err := tgt.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
+	if want := golden(t, "v2-small.snap"); !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("rewritten golden snapshot differs from v2-small.snap: %d vs %d bytes", buf.Len(), len(want))
+	}
+}
+
+// TestGoldenV2Snapshot: testdata/v2-small.snap is what preparing
+// smallCatalog under default options writes in format 2, and a handle
+// loaded from it — which compiles its classifiers at load — writes it
+// back byte for byte. Regenerate the file only together with a format
+// version bump.
+func TestGoldenV2Snapshot(t *testing.T) {
+	data := golden(t, "v2-small.snap")
+	if !bytes.Equal(writeSmall(t), data) {
+		t.Fatal("preparing smallCatalog no longer writes v2-small.snap")
+	}
+	tgt, err := ctxmatch.LoadTarget(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := tgt.Stats(); st.Classifiers != 3 || tgt.Prepared().Upgraded() {
+		t.Fatalf("format-2 load: %d classifiers, upgraded %v; want 3, false", st.Classifiers, tgt.Prepared().Upgraded())
+	}
+	var buf bytes.Buffer
+	if _, err := tgt.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Equal(buf.Bytes(), data) {
 		t.Fatalf("rewritten golden snapshot differs: %d vs %d bytes", buf.Len(), len(data))
+	}
+}
+
+// TestV1ReprepareMatchesStored: re-preparing v1-small.snap's catalog
+// reproduces, bit for bit, the dictionary, column vectors, numeric
+// columns, name vectors and candidate index the file stored. The
+// dictionary and index sections of the two formats share one layout,
+// so they must be equal byte for byte; the format-2 feature section is
+// format 1's without its leading reserved i64 and with the merge orders
+// appended. (The likelihood table is checked beside its oracle, in
+// internal/classify.)
+func TestV1ReprepareMatchesStored(t *testing.T) {
+	v1 := golden(t, "v1-small.snap")
+	tgt, err := ctxmatch.LoadTarget(bytes.NewReader(v1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tgt.Prepared().Upgraded() {
+		t.Error("a format-1 load does not report Upgraded")
+	}
+	var buf bytes.Buffer
+	if _, err := tgt.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	v2 := buf.Bytes()
+	s1, s2 := sections(t, v1), sections(t, v2)
+	payload := func(data []byte, s section) []byte { return data[s.off : s.off+s.n] }
+	for _, id := range []uint32{secDict, secIndex} {
+		if !bytes.Equal(payload(v1, s1[id]), payload(v2, s2[id])) {
+			t.Errorf("section %d differs between the stored and the re-prepared catalog", id)
+		}
+	}
+	f1, f2 := payload(v1, s1[secFeatures]), payload(v2, s2[secFeatures])
+	if len(f2) < len(f1)-8 || !bytes.Equal(f1[8:], f2[:len(f1)-8]) {
+		t.Error("re-prepared feature layer differs from the stored one")
+	}
+	if _, ok := s2[secClassifiers]; ok {
+		t.Error("format 2 wrote a classifier section")
+	}
+}
+
+// TestRestoreValidatesFeatureIDs: a format-2 snapshot whose column
+// vector names a gram ID past the dictionary, or whose merge order is
+// not a permutation of its column's IDs, fails with ErrFormat — CRC
+// intact, so the checksum is not what fails. The feature section opens
+// with the string-column count and the first column's table and
+// attribute indices; the u32 length of its vector IDs follows at 12,
+// the IDs at 16. The section ends with the last column's merge order.
+func TestRestoreValidatesFeatureIDs(t *testing.T) {
+	data := golden(t, "v2-small.snap")
+	feat := sections(t, data)[secFeatures]
+	for name, edit := range map[string]func(p []byte){
+		"vector id past the dictionary": func(p []byte) {
+			n := int(binary.LittleEndian.Uint32(p[12:]))
+			binary.LittleEndian.PutUint32(p[16+4*(n-1):], 1<<31)
+		},
+		"merge order repeats an id": func(p []byte) {
+			copy(p[len(p)-4:], p[len(p)-8:len(p)-4])
+		},
+	} {
+		edited := bytes.Clone(data)
+		edit(edited[feat.off : feat.off+feat.n])
+		reseal(edited, feat)
+		_, _, err := snapshot.Read(bytes.NewReader(edited))
+		if !errors.Is(err, snapshot.ErrFormat) {
+			t.Errorf("%s: %v, want ErrFormat", name, err)
+		}
 	}
 }

@@ -29,25 +29,30 @@ var (
 )
 
 // WriteSnapshot serializes the prepared handle — the target schema with
-// its sample instance, the matching configuration, and every compiled
-// artifact (frozen gram dictionary, column feature vectors, candidate
-// index postings, classifier log-likelihood tables) — into a versioned
-// binary snapshot, returning the bytes written. LoadTarget restores the
-// handle without re-preparing: a restored Target produces byte-identical
-// results to this one.
+// its sample instance, the matching configuration, and the artifacts a
+// load cannot cheaply recompute (frozen gram dictionary, column feature
+// vectors with each string column's gram merge order, candidate index
+// postings) — into a versioned binary snapshot, returning the bytes
+// written. The target classifiers are not written: LoadTarget compiles
+// them from the restored vectors. A restored Target produces
+// byte-identical results to this one, and Update on it is as
+// incremental as on this one.
 //
 // Snapshots are how prepared catalogs become build artifacts: prepare
 // once (or build offline with the ctxmatch CLI), ship the snapshot to N
 // serving nodes, and each restores in milliseconds instead of paying
-// the training and column-scan cost of Prepare.
+// the column-scan cost of Prepare.
 func (t *Target) WriteSnapshot(w io.Writer) (int64, error) {
 	return t.prep.WriteSnapshot(w)
 }
 
 // LoadTarget restores a prepared-target handle from a snapshot written
-// by WriteSnapshot. No training and no column scanning happens: the
-// numeric artifact tables are reconstructed by reference to one
-// contiguous buffer. The handle matches bit-identically to the one that
+// by WriteSnapshot. No column is rescanned: the dictionary, vectors and
+// index postings are reconstructed by reference to one contiguous
+// buffer, and the target classifiers compile from those vectors and the
+// rows as a prepare would compile them. A snapshot in the older format
+// 1 is re-prepared from the catalog and options it carries, at the cost
+// of one Prepare. The handle matches bit-identically to the one that
 // wrote the snapshot, and carries its own Matcher configured with the
 // snapshot's options (Target.MatchTarget trains source-side artifacts
 // through it on demand, exactly as a fresh handle would).

@@ -34,8 +34,9 @@ type CatalogDelta struct {
 // artifacts while new traffic moves to the returned handle, which is
 // the registry atomic-swap story ctxmatchd's PATCH /v1/catalogs/{name}
 // builds on. Traffic counters (Stats().Matches) carry over to the new
-// handle. Handles restored from snapshots carry no delta provenance and
-// fall back to a full rebuild — correct, just not incremental.
+// handle. A handle restored with LoadTarget updates just as
+// incrementally: its snapshot carries the per-column gram order the
+// splice replays.
 func (t *Target) Update(ctx context.Context, delta CatalogDelta) (*Target, error) {
 	start := time.Now()
 	pt, err := t.prep.Update(ctx, core.Delta{Add: delta.Add, Replace: delta.Replace, Drop: delta.Drop})

@@ -184,44 +184,67 @@ func TestUpdateChained(t *testing.T) {
 	}
 }
 
-// TestUpdateRestoredFallsBack: a handle restored from a snapshot has no
-// delta provenance; Update must still work — via a full rebuild — and
-// still be bit-identical to a fresh Prepare of the updated catalog.
-func TestUpdateRestoredFallsBack(t *testing.T) {
-	ds := snapshotFixtures()["inventory"]
-	m := mustNew(t, ctxmatch.WithParallelism(2), ctxmatch.WithSeed(5))
-	base, err := m.Prepare(context.Background(), ds.Target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := base.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := ctxmatch.LoadTarget(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	updated, err := restored.Update(context.Background(), fixtureDelta(ds.Target))
-	if err != nil {
-		t.Fatalf("Update on restored handle: %v", err)
-	}
-	m2 := mustNew(t, ctxmatch.WithParallelism(2), ctxmatch.WithSeed(5))
-	fresh, err := m2.Prepare(context.Background(), updated.Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := updated.Match(context.Background(), ds.Source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := fresh.Match(context.Background(), ds.Source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gs, ws := renderResult(got), renderResult(want); gs != ws {
-		t.Errorf("restored-handle update diverged:\n got: %s\nwant: %s",
-			excerptDiff(gs, ws), excerptDiff(ws, gs))
+// TestUpdateRestoredReplays: a handle restored from a snapshot updates
+// through the delta path — one TargetUpdates, no TargetPrecomputes —
+// replaying the merge orders the snapshot stores, and the result is
+// bit-identical to a fresh Prepare of the updated catalog: the same
+// match results and the same snapshot bytes, across all three fixtures
+// at 1 and 8 workers.
+func TestUpdateRestoredReplays(t *testing.T) {
+	for name, ds := range snapshotFixtures() {
+		for _, workers := range []int{1, 8} {
+			m := mustNew(t, ctxmatch.WithParallelism(workers), ctxmatch.WithSeed(5))
+			base, err := m.Prepare(context.Background(), ds.Target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if _, err := base.WriteSnapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			restored, err := ctxmatch.LoadTarget(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			precomputes, updates := match.TargetPrecomputes(), match.TargetUpdates()
+			updated, err := restored.Update(context.Background(), fixtureDelta(ds.Target))
+			if err != nil {
+				t.Fatalf("%s/%d: Update on restored handle: %v", name, workers, err)
+			}
+			if got := match.TargetUpdates() - updates; got != 1 {
+				t.Errorf("%s/%d: restored Update performed %d delta feature rebuilds, want 1", name, workers, got)
+			}
+			if got := match.TargetPrecomputes() - precomputes; got != 0 {
+				t.Errorf("%s/%d: restored Update performed %d builds from nothing, want 0", name, workers, got)
+			}
+			m2 := mustNew(t, ctxmatch.WithParallelism(workers), ctxmatch.WithSeed(5))
+			fresh, err := m2.Prepare(context.Background(), updated.Schema())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := updated.Match(context.Background(), ds.Source)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.Match(context.Background(), ds.Source)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gs, ws := renderResult(got), renderResult(want); gs != ws {
+				t.Errorf("%s/%d: restored-handle update diverged:\n got: %s\nwant: %s",
+					name, workers, excerptDiff(gs, ws), excerptDiff(ws, gs))
+			}
+			var updatedSnap, freshSnap bytes.Buffer
+			if _, err := updated.WriteSnapshot(&updatedSnap); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fresh.WriteSnapshot(&freshSnap); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(updatedSnap.Bytes(), freshSnap.Bytes()) {
+				t.Errorf("%s/%d: restored-handle update wrote different snapshot bytes than a fresh prepare", name, workers)
+			}
+		}
 	}
 }
 
