@@ -25,7 +25,11 @@
 // fleet catalogs retrieval prunes at 8 and at 32 catalogs — or
 // update_vs_prepare_speedup — the factor by which a single-table delta
 // beats re-preparing — collapses below the baseline. Improvements and
-// within-tolerance noise pass. No BENCH file is written in this mode.
+// within-tolerance noise pass. Each gated wall-clock metric is the
+// median of three measurements in this mode, so one measurement taken
+// while the host was busy cannot fail the gate alone; allocation
+// counts and ratios come from the first, as when recording. No BENCH
+// file is written in this mode.
 //
 // -cpuprofile and -memprofile write pprof profiles of the prepared-path
 // benchmark loop, so perf PRs can attach evidence:
@@ -44,6 +48,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"testing"
 	"time"
 
@@ -149,6 +154,9 @@ func main() {
 	flag.Parse()
 
 	var baseline *report
+	// reps is how many times each gated wall-clock metric is measured
+	// (see medianNs): once when recording, three times when gating.
+	reps := 1
 	fx := fixture{Rows: 120, TargetRows: 1500, Gamma: 4}
 	if *quick {
 		fx = fixture{Rows: 80, TargetRows: 300, Gamma: 4}
@@ -164,6 +172,7 @@ func main() {
 		// Measure on the baseline's fixture so the gated metrics are
 		// comparable; a -quick flag alongside -compare is overridden.
 		fx = baseline.Fixture
+		reps = 3
 	}
 	ds := datagen.Inventory(datagen.InventoryConfig{
 		Rows: fx.Rows, TargetRows: fx.TargetRows, Gamma: fx.Gamma,
@@ -184,25 +193,24 @@ func main() {
 	// Preparation cost: a fresh Matcher per iteration keeps the artifact
 	// cache cold so every iteration pays the full scan-train-compile
 	// bill, once at the full worker budget and once sequentially.
-	benchPrepare := func(workers int) int64 {
-		r := testing.Benchmark(func(b *testing.B) {
+	benchPrepare := func(workers int) func(*testing.B) {
+		return func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				m, err := ctxmatch.New(ctxmatch.WithParallelism(workers))
 				exitOn(err)
 				_, err = m.Prepare(context.Background(), ds.Target)
 				exitOn(err)
 			}
-		})
-		return r.NsPerOp()
+		}
 	}
-	prepareNs := benchPrepare(runtime.NumCPU())
+	prepareNs, _ := medianNs(reps, benchPrepare(runtime.NumCPU()))
 
 	m, err := ctxmatch.New(ctxmatch.WithParallelism(1))
 	exitOn(err)
 	prepared, err := m.Prepare(context.Background(), ds.Target)
 	exitOn(err)
 
-	prep := testing.Benchmark(func(b *testing.B) {
+	preparedNs, prep := medianNs(reps, func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			_, err := prepared.Match(context.Background(), ds.Source)
@@ -216,13 +224,13 @@ func main() {
 	var snapBuf bytes.Buffer
 	_, err = prepared.WriteSnapshot(&snapBuf)
 	exitOn(err)
-	snapLoad := testing.Benchmark(func(b *testing.B) {
+	snapLoadNs, _ := medianNs(reps, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_, err := ctxmatch.LoadTarget(bytes.NewReader(snapBuf.Bytes()))
 			exitOn(err)
 		}
 	})
-	snapWrite := testing.Benchmark(func(b *testing.B) {
+	snapWriteNs, snapWrite := medianNs(reps, func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			_, err := prepared.WriteSnapshot(io.Discard)
@@ -241,29 +249,29 @@ func main() {
 	// retrieval. The fleet spec is keyed to the fixture's weight class
 	// (quick fixtures get a small fleet) so compare runs — which adopt
 	// the baseline's fixture — stay apples-to-apples.
-	anyNs, prunedFrac, fleetN := benchMatchAny(fx.TargetRows >= 500)
+	anyNs, prunedFrac, fleetN := benchMatchAny(fx.TargetRows >= 500, reps)
 
 	// Registry-at-capacity retrieval: the same query over 32 catalogs.
 	// Measured on full fixtures only, and in compare mode only when the
 	// baseline has the figure — no point paying 32 preparations to gate
 	// against a skipped metric.
 	any32Ns, pruned32Frac, fleet32N := benchMatchAny32(
-		fx.TargetRows >= 500 && (baseline == nil || baseline.MatchAny32Ns > 0))
+		fx.TargetRows >= 500 && (baseline == nil || baseline.MatchAny32Ns > 0), reps)
 
 	// Incremental prepare: a single-table delta through Target.Update
 	// versus re-preparing the updated catalog from scratch, sized to the
 	// fixture's weight class like the fleet above.
-	updNs, updAllocs, updPrepNs, updSpeedup := benchUpdate(fx.TargetRows >= 500)
+	updNs, updAllocs, updPrepNs, updSpeedup := benchUpdate(fx.TargetRows >= 500, reps)
 
 	if baseline != nil {
 		if *timeTolerance == 0 {
 			*timeTolerance = *tolerance
 		}
 		os.Exit(compare(baseline, measured{
-			preparedNs:     prep.NsPerOp(),
+			preparedNs:     preparedNs,
 			prepareNs:      prepareNs,
-			snapshotLoadNs: snapLoad.NsPerOp(),
-			snapWriteNs:    snapWrite.NsPerOp(),
+			snapshotLoadNs: snapLoadNs,
+			snapWriteNs:    snapWriteNs,
 			snapWriteBytes: snapWrite.AllocedBytesPerOp(),
 			matchAnyNs:     anyNs,
 			prunedFrac:     prunedFrac,
@@ -282,7 +290,7 @@ func main() {
 	// above exits without paying for it.
 	prepareSeqNs := prepareNs
 	if runtime.NumCPU() > 1 {
-		prepareSeqNs = benchPrepare(1)
+		prepareSeqNs = testing.Benchmark(benchPrepare(1)).NsPerOp()
 	}
 
 	// Batch throughput: the same source fanned as a MatchAll batch
@@ -323,9 +331,9 @@ func main() {
 		PrepareSeqNs: prepareSeqNs,
 		PrepareSpeedup: float64(prepareSeqNs) /
 			float64(max64(prepareNs, 1)),
-		PreparedNs: prep.NsPerOp(),
+		PreparedNs: preparedNs,
 		Speedup: float64(cold.NsPerOp()) /
-			float64(max64(prep.NsPerOp(), 1)),
+			float64(max64(preparedNs, 1)),
 		ColdAllocs:     cold.AllocsPerOp(),
 		PrepAllocs:     prep.AllocsPerOp(),
 		PrepBytes:      prep.AllocedBytesPerOp(),
@@ -333,10 +341,10 @@ func main() {
 		BatchSizeN:     batch,
 		BatchPar:       batchPar,
 		ResultBytes:    len(wire),
-		SnapshotLoadNs: snapLoad.NsPerOp(),
+		SnapshotLoadNs: snapLoadNs,
 		SnapshotBytes:  snapBuf.Len(),
 
-		SnapshotWriteNs:      snapWrite.NsPerOp(),
+		SnapshotWriteNs:      snapWriteNs,
 		SnapshotWriteBytesOp: snapWrite.AllocedBytesPerOp(),
 
 		MatchAnyNs:         anyNs,
@@ -370,11 +378,11 @@ func main() {
 // its ns/op, the fraction of catalogs retrieval pruned, and the fleet
 // size. full selects the 8-catalog fleet (including the 10k-scale
 // enterprise catalog); quick runs get a 4-catalog miniature of the
-// same shape.
-func benchMatchAny(full bool) (retrievalNs int64, prunedFrac float64, catalogs int) {
+// same shape. The time is the median of reps measurements.
+func benchMatchAny(full bool, reps int) (retrievalNs int64, prunedFrac float64, catalogs int) {
 	specs := fleetSpecs(full)
 	fleet, src := buildFleet(specs)
-	retrievalNs, prunedFrac = benchFleetQuery(fleet, src, repository.Query{K: repository.DefaultK})
+	retrievalNs, prunedFrac = benchFleetQuery(fleet, src, repository.Query{K: repository.DefaultK}, reps)
 	return retrievalNs, prunedFrac, len(specs)
 }
 
@@ -384,7 +392,7 @@ func benchMatchAny(full bool) (retrievalNs int64, prunedFrac float64, catalogs i
 // fleet before any per-catalog postings are touched. Skipped (all
 // zeros) when run is false — quick fixtures, or compare runs whose
 // baseline predates the fused index.
-func benchMatchAny32(run bool) (retrievalNs int64, prunedFrac float64, catalogs int) {
+func benchMatchAny32(run bool, reps int) (retrievalNs int64, prunedFrac float64, catalogs int) {
 	if !run {
 		return 0, 0, 0
 	}
@@ -397,7 +405,7 @@ func benchMatchAny32(run bool) (retrievalNs int64, prunedFrac float64, catalogs 
 		})
 	}
 	fleet, src := buildFleet(specs)
-	retrievalNs, prunedFrac = benchFleetQuery(fleet, src, repository.Query{K: repository.DefaultK})
+	retrievalNs, prunedFrac = benchFleetQuery(fleet, src, repository.Query{K: repository.DefaultK}, reps)
 	return retrievalNs, prunedFrac, len(specs)
 }
 
@@ -442,11 +450,12 @@ func buildFleet(specs []datagen.InventoryConfig) (*repository.Fleet, *ctxmatch.S
 	return fleet, src
 }
 
-// benchFleetQuery times one MatchAny query shape against the fleet and
-// reports the fraction of catalogs retrieval pruned.
-func benchFleetQuery(fleet *repository.Fleet, src *ctxmatch.Schema, q repository.Query) (int64, float64) {
+// benchFleetQuery times one MatchAny query shape against the fleet —
+// the median of reps measurements — and reports the fraction of
+// catalogs retrieval pruned.
+func benchFleetQuery(fleet *repository.Fleet, src *ctxmatch.Schema, q repository.Query, reps int) (int64, float64) {
 	var prunedFrac float64
-	r := testing.Benchmark(func(b *testing.B) {
+	ns, _ := medianNs(reps, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			rep, err := fleet.MatchAny(context.Background(), src, q)
 			exitOn(err)
@@ -455,7 +464,7 @@ func benchFleetQuery(fleet *repository.Fleet, src *ctxmatch.Schema, q repository
 			}
 		}
 	})
-	return r.NsPerOp(), prunedFrac
+	return ns, prunedFrac
 }
 
 // benchUpdate prepares a catalog, applies a single-table delta (one
@@ -465,7 +474,9 @@ func benchFleetQuery(fleet *repository.Fleet, src *ctxmatch.Schema, q repository
 // per op, the prepare's ns/op and their ratio. full selects the 10k-row
 // enterprise fixture — the scale where re-preparing on every table
 // change stops being an option; quick runs get a 4-pair miniature.
-func benchUpdate(full bool) (updateNs, updateAllocs, prepareNs int64, speedup float64) {
+// updateNs is the median of reps measurements; the allocations and the
+// ratio come from the first, against one re-prepare measurement.
+func benchUpdate(full bool, reps int) (updateNs, updateAllocs, prepareNs int64, speedup float64) {
 	cfg := datagen.InventoryConfig{Rows: 80, TargetRows: 40, Gamma: 4, Target: datagen.Ryan, Seed: 1, Scale: 4}
 	if full {
 		cfg = datagen.InventoryConfig{Rows: 120, TargetRows: 500, Gamma: 4, Target: datagen.Ryan, Seed: 1, Scale: 10, ExtraAttrs: 4, NoDistractors: true}
@@ -481,7 +492,7 @@ func benchUpdate(full bool) (updateNs, updateAllocs, prepareNs int64, speedup fl
 	}}}
 	updated, err := prepared.Update(context.Background(), delta)
 	exitOn(err)
-	upd := testing.Benchmark(func(b *testing.B) {
+	updateNs, upd := medianNs(reps, func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			_, err := prepared.Update(context.Background(), delta)
@@ -497,8 +508,21 @@ func benchUpdate(full bool) (updateNs, updateAllocs, prepareNs int64, speedup fl
 			exitOn(err)
 		}
 	})
-	return upd.NsPerOp(), upd.AllocsPerOp(), reprep.NsPerOp(),
+	return updateNs, upd.AllocsPerOp(), reprep.NsPerOp(),
 		float64(reprep.NsPerOp()) / float64(max64(upd.NsPerOp(), 1))
+}
+
+// medianNs runs the benchmark reps times and returns the median ns/op,
+// with the first run's result for the figures that are not wall clock
+// (allocations, iteration count).
+func medianNs(reps int, f func(*testing.B)) (int64, testing.BenchmarkResult) {
+	first := testing.Benchmark(f)
+	ns := []int64{first.NsPerOp()}
+	for len(ns) < reps {
+		ns = append(ns, testing.Benchmark(f).NsPerOp())
+	}
+	slices.Sort(ns)
+	return ns[len(ns)/2], first
 }
 
 // measured carries the re-measured values of every gated metric into

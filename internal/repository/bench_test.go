@@ -131,6 +131,29 @@ func BenchmarkMatchAny32(b *testing.B) {
 	}
 }
 
+// BenchmarkFleetInstall measures the fleet's half of a PATCH: each
+// iteration re-installs one catalog of the 32-catalog fleet under a
+// fresh generation — deriving and publishing the next fused index
+// version, with any dictionary rebuild it triggers — for a small
+// catalog and for the 10k-row one.
+func BenchmarkFleetInstall(b *testing.B) {
+	if testing.Short() {
+		b.Skip("fleet fixture skipped in -short mode")
+	}
+	fx := sharedFleet(b)
+	for _, name := range []string{"aaron-1", "ryan-10k"} {
+		b.Run(name, func(b *testing.B) {
+			f := newTestFleet32(b, 1)
+			tgt := fx.targets[name].WithParallelism(1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f.Installed(name, 100+i, tgt)
+			}
+		})
+	}
+}
+
 // BenchmarkRetrieve isolates the retrieval walk itself — scoring all
 // eight catalogs' candidate indexes under the advancing top-k floor,
 // no exact matches.

@@ -23,10 +23,11 @@
 // bit-identical to what a direct Target.Match would return.
 //
 // A Fleet tracks registry mutations through Installed/Removed — the
-// same atomic-swap semantics as the catalog registry: entries are
-// immutable, a re-install replaces the entry atomically, and in-flight
-// retrievals finish on the entry snapshot they already took, so an
-// eviction mid-retrieval never fails a request.
+// same atomic-swap semantics as the catalog registry: entries and the
+// fused index version published with them are immutable, a re-install
+// replaces the entry atomically, and in-flight retrievals finish on the
+// state they already loaded, so an eviction mid-retrieval never fails
+// a request and no retrieval waits for a writer.
 package repository
 
 import (
@@ -59,36 +60,66 @@ type Entry struct {
 	Target *ctxmatch.Target
 
 	feats *match.TargetFeatures
-	// slot is the catalog's handle in the fleet's fused index, nil for
-	// a catalog without a candidate index — one holding no string
-	// column, which cannot be scored cheaply and therefore always
-	// survives retrieval. Guarded by the fleet's mutex like the fused
-	// index itself.
-	slot *tokenize.FusedSlot
+	// pos is the catalog's slot position in the fused index version
+	// published with the entry, -1 for a catalog without a candidate
+	// index — one holding no string column, which cannot be scored
+	// cheaply and therefore always survives retrieval.
+	pos int
+	// lineage names the install the entry descends from: a re-install
+	// keeps it, an install after a removal draws a new one.
+	lineage uint64
 	// workers is the handle's own worker budget; cells sizes its sample
 	// (rows × attributes over its tables), the input property the
 	// survivor fan-out dispatches largest-first by.
 	workers, cells int
 }
 
+// fleetState is what one publish makes visible: the entries in
+// ascending name order — the deterministic base order of every
+// retrieval — and the fused index version their slot positions refer
+// to.
+type fleetState struct {
+	entries []*Entry
+	fused   *tokenize.FusedIndex
+}
+
+// find returns the position of name in the entries, or where it would
+// be inserted, and whether it is there.
+func (st *fleetState) find(name string) (int, bool) {
+	return slices.BinarySearchFunc(st.entries, name, func(e *Entry, name string) int {
+		return strings.Compare(e.Name, name)
+	})
+}
+
+// holds reports whether the state still holds e's catalog from the same
+// install: not removed since e was published, whatever re-installs
+// replaced it.
+func (st *fleetState) holds(e *Entry) bool {
+	i, ok := st.find(e.Name)
+	return ok && st.entries[i].lineage == e.lineage
+}
+
 // Fleet is the cross-catalog retrieval index: the set of installed
 // catalog entries plus the registry-global fused index over their
 // candidate indexes, kept consistent with the owning registry through
-// Installed/Removed. All methods are safe for concurrent use; the
-// fused index is maintained under the write lock and probed under the
-// read lock (its global dictionary stays unfrozen across installs).
+// Installed/Removed. All methods are safe for concurrent use. Readers
+// take no lock: they load the published state, whose entries and fused
+// index version never change. Installed and Removed derive the next
+// state off to the side, under a mutex only writers take, and publish
+// it with one atomic store.
 type Fleet struct {
-	mu      sync.RWMutex
-	entries map[string]*Entry
-	fused   *tokenize.FusedIndex
+	state atomic.Pointer[fleetState]
 
-	// snap is the last published name-ordered entry slice, maintained
-	// by Installed/Removed under the write lock and read lock-free, so
-	// retrievals never queue behind a fused-index compaction.
-	snap atomic.Pointer[[]*Entry]
-	// bypasses counts retrievals served by the per-catalog fallback
-	// path because a writer held the fleet lock.
-	bypasses atomic.Int64
+	// wmu serializes the writers; fw, which derives the fused index
+	// versions, and lineages are theirs.
+	wmu      sync.Mutex
+	fw       *tokenize.FusedWriter
+	lineages uint64
+
+	// probes and boundSkips count fused bound passes and catalog-columns
+	// skipped on the bound alone over the fleet's lifetime: kept here,
+	// outside every version, they only grow (see FusedStats).
+	probes, boundSkips atomic.Int64
 
 	// faults, when non-nil, is consulted at the "fleet.match" point
 	// before each per-catalog exact match. Set before serving traffic.
@@ -99,22 +130,15 @@ type Fleet struct {
 	bstate  map[string]*breakerState
 }
 
-// NewFleet returns an empty fleet with the default fused-index
-// compaction threshold and default circuit-breaker tuning.
+// NewFleet returns an empty fleet with default circuit-breaker tuning.
 func NewFleet() *Fleet {
-	return newFleetCompact(0)
-}
-
-// newFleetCompact is NewFleet with an explicit fused-index compaction
-// threshold (≤ 0 selects the default); the compaction property tests
-// exercise the rebuild at every threshold.
-func newFleetCompact(threshold int) *Fleet {
-	return &Fleet{
-		entries: map[string]*Entry{},
-		fused:   tokenize.NewFusedIndex(threshold),
+	f := &Fleet{
+		fw:      tokenize.NewFusedWriter(),
 		breaker: BreakerConfig{}.normalize(),
 		bstate:  map[string]*breakerState{},
 	}
+	f.state.Store(&fleetState{fused: f.fw.Index()})
+	return f
 }
 
 // InjectFaults installs a fault-injection registry consulted at the
@@ -122,49 +146,72 @@ func newFleetCompact(threshold int) *Fleet {
 // registry (the default) injects nothing. Call before serving traffic.
 func (f *Fleet) InjectFaults(reg *fault.Registry) { f.faults = reg }
 
-// Installed publishes (or atomically replaces) the entry for name and
-// fuses its candidate index into the registry-global index. It is
-// called for every registry install — prepare, re-prepare, PATCH
-// delta swap and snapshot restore — under the registry's own lock, so
-// the fleet's view is linearized with the registry's.
+// Installed publishes (or atomically replaces) the entry for name,
+// together with a fused index version holding its candidate index —
+// at its old slot position when it replaces an indexed entry. It is
+// called for every registry install — prepare, re-prepare, PATCH delta
+// swap and snapshot restore — under the registry's own lock, so the
+// fleet's view is linearized with the registry's.
 func (f *Fleet) Installed(name string, generation int, t *ctxmatch.Target) {
 	e := &Entry{
 		Name:       name,
 		Generation: generation,
 		Target:     t,
 		feats:      t.Prepared().Features(),
+		pos:        -1,
 		workers:    max(1, t.Prepared().Options().Parallelism),
 	}
 	for _, tt := range t.Schema().Tables {
 		e.cells += len(tt.Rows) * len(tt.Attrs)
 	}
-	f.mu.Lock()
-	if old := f.entries[name]; old != nil {
-		f.fused.Remove(old.slot)
+	f.wmu.Lock()
+	defer f.wmu.Unlock()
+	st := f.state.Load()
+	i, found := st.find(name)
+	oldPos := -1
+	if found {
+		oldPos, e.lineage = st.entries[i].pos, st.entries[i].lineage
+	} else {
+		f.lineages++
+		e.lineage = f.lineages
 	}
+	fused := st.fused
 	if ix := e.feats.Index(); ix != nil {
-		e.slot = f.fused.Install(e.feats.Dict(), ix)
+		if e.pos = oldPos; e.pos < 0 {
+			e.pos = fused.Free()
+		}
+		fused = f.fw.Set(e.pos, e.feats.Dict(), ix)
+	} else if oldPos >= 0 {
+		fused = f.fw.Set(oldPos, nil, nil)
 	}
-	f.entries[name] = e
-	f.publishLocked()
-	f.mu.Unlock()
+	entries := slices.Clone(st.entries)
+	if found {
+		entries[i] = e
+	} else {
+		entries = slices.Insert(entries, i, e)
+	}
+	f.state.Store(&fleetState{entries: entries, fused: fused})
 }
 
-// Removed drops name's entry — LRU eviction or explicit deletion —
-// and tombstones its fused-index slot (the structure compacts itself
-// at its threshold). Retrievals that already snapshotted the entry
-// finish on it; the prepared handle stays valid for them, exactly as
-// registry readers finish on an evicted handle.
+// Removed drops name's entry — LRU eviction or explicit deletion — and
+// frees its fused-index slot. Retrievals that already loaded the
+// previous state finish on it; the prepared handle stays valid for
+// them, exactly as registry readers finish on an evicted handle.
 func (f *Fleet) Removed(name string) {
-	f.mu.Lock()
-	if old := f.entries[name]; old != nil {
-		f.fused.Remove(old.slot)
+	f.wmu.Lock()
+	st := f.state.Load()
+	if i, found := st.find(name); found {
+		fused := st.fused
+		if pos := st.entries[i].pos; pos >= 0 {
+			fused = f.fw.Set(pos, nil, nil)
+		}
+		entries := slices.Delete(slices.Clone(st.entries), i, i+1)
+		f.state.Store(&fleetState{entries: entries, fused: fused})
 	}
-	delete(f.entries, name)
-	f.publishLocked()
-	f.mu.Unlock()
+	f.wmu.Unlock()
 	// An evicted catalog's failure history goes with it; a future
-	// re-install starts with a closed breaker.
+	// re-install starts with a closed breaker. The state is cleared
+	// after the removal is published (see recordOutcomes).
 	f.bmu.Lock()
 	delete(f.bstate, name)
 	f.bmu.Unlock()
@@ -178,44 +225,17 @@ func (f *Fleet) Len() int { return len(f.Entries()) }
 // into the tokenize internals.
 type FusedStats = tokenize.FusedStats
 
-// FusedStats snapshots the registry-global fused index.
+// FusedStats sizes the published fused index version and reports the
+// fleet's lifetime bound-pass counters.
 func (f *Fleet) FusedStats() tokenize.FusedStats {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.fused.Stats()
+	st := f.state.Load().fused.Stats()
+	st.Probes, st.BoundSkips = f.probes.Load(), f.boundSkips.Load()
+	return st
 }
 
-// publishLocked rebuilds the lock-free entry snapshot from the entry
-// map. Callers hold the write lock.
-func (f *Fleet) publishLocked() {
-	out := make([]*Entry, 0, len(f.entries))
-	for _, e := range f.entries {
-		out = append(out, e)
-	}
-	slices.SortFunc(out, func(a, b *Entry) int { return strings.Compare(a.Name, b.Name) })
-	f.snap.Store(&out)
-}
-
-// entriesLocked returns the installed catalogs in ascending name
-// order — the deterministic base order of every retrieval. Callers
-// hold at least the read lock.
-func (f *Fleet) entriesLocked() []*Entry {
-	if p := f.snap.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// Entries returns the installed catalogs in ascending name order: the
-// last published immutable snapshot, read without taking the fleet
-// lock so callers never queue behind an install or a fused-index
-// compaction.
-func (f *Fleet) Entries() []*Entry {
-	if p := f.snap.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
+// Entries returns the installed catalogs in ascending name order, from
+// the published state.
+func (f *Fleet) Entries() []*Entry { return f.state.Load().entries }
 
 // Default circuit-breaker tuning: a catalog whose exact match fails
 // this many times in a row is skipped (reason "breaker_open") for the
@@ -279,12 +299,30 @@ func (f *Fleet) breakerAllow(name string, now time.Time) bool {
 	return !now.Before(st.openUntil)
 }
 
-// breakerRecord feeds one match outcome into name's breaker: success
-// closes it, the Threshold-th consecutive failure opens it for the
-// cooldown (and a failed half-open trial re-opens it).
-func (f *Fleet) breakerRecord(name string, failed bool, now time.Time) {
+// recordOutcomes feeds the survivors' exact-match outcomes into their
+// breakers: success closes one, the Threshold-th consecutive failure
+// opens it for the cooldown (and a failed half-open trial re-opens
+// it). Skipped survivors record nothing, and neither does a catalog
+// the published state no longer holds from the same install: a match
+// in flight across a Removed must not write back the history Removed
+// cleared for a future re-install. The check runs under bmu, and
+// Removed clears the history under bmu after publishing, so a removal
+// cannot slip in between check and record.
+func (f *Fleet) recordOutcomes(survivors []*Entry, outs []survivorOutcome) {
+	now := time.Now()
 	f.bmu.Lock()
 	defer f.bmu.Unlock()
+	st := f.state.Load()
+	for i, e := range survivors {
+		if outs[i].reason == "" && st.holds(e) {
+			f.recordLocked(e.Name, outs[i].err != nil, now)
+		}
+	}
+}
+
+// recordLocked feeds one outcome into name's breaker. The caller holds
+// bmu.
+func (f *Fleet) recordLocked(name string, failed bool, now time.Time) {
 	if f.breaker.Threshold < 0 {
 		return
 	}
@@ -319,9 +357,11 @@ func (f *Fleet) OpenBreakers() int {
 	return n
 }
 
-// Bypasses counts retrievals served by the per-catalog fallback path
-// because a writer (install, removal, compaction) held the fleet lock.
-func (f *Fleet) Bypasses() int64 { return f.bypasses.Load() }
+// Bypasses returns 0. It counted retrievals that fell back to a
+// per-catalog path because a writer held the fleet lock; retrievals no
+// longer take a lock, so none falls back. It stays for callers that
+// read it.
+func (f *Fleet) Bypasses() int64 { return 0 }
 
 // DefaultK is the survivor count when a query does not set one.
 const DefaultK = 3
@@ -453,15 +493,18 @@ const retrieveBudgetDiv = 4
 // the package comment for the pruning invariants), runs the exact
 // prepared match on each survivor, and ranks the outcomes.
 //
-// The source is tokenized once, up front and outside the fleet lock;
-// retrieval keys that one tokenization into the fused index's global
-// IDs, and each survivor's match receives its projection into the
-// catalog's own ID space instead of re-tokenizing the source. The
-// survivors' exact matches then share the worker budget — the smallest
-// of the survivors' own Parallelism — as min(budget, survivors)
-// concurrent matches of budget/concurrent workers each, largest
-// catalog first. Outcomes assemble in survivor order, so the report is
-// the same at any budget.
+// MatchAny never waits for a writer: it loads the published state once,
+// without a lock, and runs retrieval and the exact matches on it,
+// however the fleet changes meanwhile (the circuit breakers keep their
+// own short mutex, which no install takes). The source is tokenized
+// once, up front; retrieval keys that one tokenization into the fused
+// index's global IDs, and each survivor's match receives its
+// projection into the catalog's own ID space instead of re-tokenizing
+// the source. The survivors' exact matches then share the worker
+// budget — the smallest of the survivors' own Parallelism — as
+// min(budget, survivors) concurrent matches of budget/concurrent
+// workers each, largest catalog first. Outcomes assemble in survivor
+// order, so the report is the same at any budget.
 //
 // MatchAny degrades instead of failing. The request deadline (when ctx
 // carries one) is split into stage budgets — retrieval gets a quarter
@@ -492,30 +535,11 @@ func (f *Fleet) MatchAny(ctx context.Context, src *ctxmatch.Schema, q Query) (*R
 		retrieveDeadline = time.Now().Add(time.Until(d) / retrieveBudgetDiv)
 	}
 
-	sf := match.FeaturizeSource(src, budget(f.Entries()))
-	var entries []*Entry
-	var scores []CatalogScore
-	var keys *globalKeys
-	// The fused pass reads the unfrozen global dictionary and the slot
-	// table, so it runs under the read lock; the exact matches below
-	// run on the immutable survivor snapshot outside it.
-	if f.mu.TryRLock() {
-		entries = f.entriesLocked()
-		scores, keys = f.fusedRetrieve(entries, sf, q.K, q.MinScore, retrieveDeadline)
-		f.mu.RUnlock()
-	} else {
-		// A writer holds the fleet — an install, a removal, or a
-		// fused-index compaction. Rather than queue behind it into the
-		// request's deadline, serve this retrieval from the last
-		// published entry snapshot through the per-catalog path, which
-		// touches no fused state and returns the same survivors and
-		// evidence.
-		f.bypasses.Add(1)
-		entries = f.Entries()
-		scores = retrieve(entries, sf, q.K, q.MinScore, retrieveDeadline)
-	}
+	st := f.state.Load()
+	sf := match.FeaturizeSource(src, budget(st.entries))
+	scores, keys := f.fusedRetrieve(st, sf, q.K, q.MinScore, retrieveDeadline)
 	report.Retrieval = scores
-	report.Considered = len(entries)
+	report.Considered = len(st.entries)
 	evidence := make(map[string]float64, len(scores))
 	for _, cs := range scores {
 		switch {
@@ -527,19 +551,18 @@ func (f *Fleet) MatchAny(ctx context.Context, src *ctxmatch.Schema, q Query) (*R
 			evidence[cs.Name] = cs.Evidence
 		}
 	}
-	survivors := pickSurvivors(entries, scores, q.K)
+	survivors := pickSurvivors(st.entries, scores, q.K)
 
 	outs := f.matchSurvivors(ctx, src, sf, keys, survivors, deadline)
+	f.recordOutcomes(survivors, outs)
 	for i, e := range survivors {
 		o := outs[i]
 		switch {
 		case o.reason != "":
 			report.skip(e.Name, o.reason, "")
 		case o.err != nil:
-			f.breakerRecord(e.Name, true, time.Now())
 			report.skip(e.Name, ReasonError, o.err.Error())
 		default:
-			f.breakerRecord(e.Name, false, time.Now())
 			report.Ranked = append(report.Ranked, CatalogMatch{
 				Name:       e.Name,
 				Generation: e.Generation,

@@ -11,12 +11,10 @@ import (
 	"ctxmatch/internal/match"
 )
 
-// fusedScores runs the fused retrieval pass under the fleet's read
-// lock, the way MatchAny drives it.
+// fusedScores runs the fused retrieval pass on the published state,
+// the way MatchAny drives it.
 func fusedScores(f *Fleet, src *match.SourceFeatures, k int, minScore float64) []CatalogScore {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	scores, _ := f.fusedRetrieve(f.entriesLocked(), src, k, minScore, time.Time{})
+	scores, _ := f.fusedRetrieve(f.state.Load(), src, k, minScore, time.Time{})
 	return scores
 }
 
@@ -73,12 +71,10 @@ func TestFusedRetrieveAgreesWithLegacy(t *testing.T) {
 // TestFusedIndexTracksRandomTraces drives random install / update /
 // evict traces — the operations the registry observer forwards — and
 // after every trace compares MatchAny end-to-end between the churned
-// fleet (whose fused index lived through tombstoning and compaction)
-// and a from-scratch fleet over the surviving state: same winner, same
-// bit-identical winning edges, same survivor evidence. Odd-numbered
-// trials use a compaction threshold of 1 (compact on every evict) and
-// even ones the default, so both the eager and the lazy tombstone
-// regimes are exercised.
+// fleet (whose fused index lived through slot replacements, freed
+// positions and dictionary rebuilds) and a from-scratch fleet over the
+// surviving state: same winner, same bit-identical winning edges, same
+// survivor evidence.
 func TestFusedIndexTracksRandomTraces(t *testing.T) {
 	fx := sharedFleet(t)
 	names := make([]string, 0, len(fleetSpecs))
@@ -87,11 +83,7 @@ func TestFusedIndexTracksRandomTraces(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 12; trial++ {
-		threshold := 0
-		if trial%2 == 1 {
-			threshold = 1
-		}
-		live := newFleetCompact(threshold)
+		live := NewFleet()
 		type state struct {
 			gen int
 			tgt *ctxmatch.Target
@@ -114,7 +106,7 @@ func TestFusedIndexTracksRandomTraces(t *testing.T) {
 			live.Installed("aaron-1", gen+1, fx.targets["aaron-1"])
 			want["aaron-1"] = state{gen + 1, fx.targets["aaron-1"]}
 		}
-		rebuilt := newFleetCompact(threshold)
+		rebuilt := NewFleet()
 		for name, st := range want {
 			rebuilt.Installed(name, st.gen, st.tgt)
 		}
@@ -122,9 +114,6 @@ func TestFusedIndexTracksRandomTraces(t *testing.T) {
 		st := live.FusedStats()
 		if st.Live != len(want) {
 			t.Fatalf("trial %d: fused index has %d live slots, want %d", trial, st.Live, len(want))
-		}
-		if threshold == 1 && st.Tombstones != 0 {
-			t.Fatalf("trial %d: threshold-1 index kept %d tombstones", trial, st.Tombstones)
 		}
 
 		src := fx.datasets[names[trial%len(names)]].Source
@@ -203,7 +192,7 @@ func TestFusedStatsAccounting(t *testing.T) {
 	if st.Slots != len(fleetSpecs) || st.Live != len(fleetSpecs) || st.Tombstones != 0 {
 		t.Fatalf("fresh fleet fused stats: %+v", st)
 	}
-	if st.Grams == 0 || st.Runs == 0 || st.Bytes == 0 {
+	if st.Grams == 0 || st.Bytes == 0 {
 		t.Fatalf("fused index claims to be empty: %+v", st)
 	}
 	src := sharedFleet(t).datasets["aaron-1"].Source

@@ -1,45 +1,24 @@
 package repository
 
 import (
-	"slices"
-	"sort"
 	"time"
 
 	"ctxmatch/internal/match"
 	"ctxmatch/internal/tokenize"
 )
 
-// srcColumn is one source string column profiled for retrieval: its
-// gram counts, aligned with the request's tokenization of the column,
-// and the Euclidean norm of those counts — which is the same under
-// every ID mapping, so it is computed once.
-type srcColumn struct {
-	col    *match.SourceColumn
-	counts []float64
-	norm   float64
-	// global is the column keyed into a fused index's global ID space,
-	// set by the fused retrieval pass that owns the profile.
-	global *tokenize.IDVector
-}
+// The per-catalog retrieval walk below is the oracle the fused pass is
+// checked against: it scores every catalog through its own dictionary
+// and index, with no global ID space and no bound pass.
 
-// profileColumns profiles every featurized source column over all its
-// values — the rule the catalogs' own index vectors were built under.
-func profileColumns(sf *match.SourceFeatures) []srcColumn {
-	out := make([]srcColumn, len(sf.Cols))
-	for j, c := range sf.Cols {
-		out[j].col = c
-		out[j].counts, out[j].norm = c.Counts()
-	}
-	return out
-}
-
-// vector keys a source column profile into the entry's interned ID
-// space: grams known to the catalog's dictionary take their dense ID,
-// unknown grams take per-build overflow IDs past the dictionary — out
-// of every posting list's range, so they can never intersect, but still
-// part of the norm — exactly the convention the matching path uses for
+// vector keys a source column profile, whose distinct grams are
+// grams, into the entry's interned ID space: grams known to the
+// catalog's dictionary take their dense ID, unknown grams take
+// per-build overflow IDs past the dictionary — out of every posting
+// list's range, so they can never intersect, but still part of the
+// norm — exactly the convention the matching path uses for
 // out-of-vocabulary grams.
-func (e *Entry) vector(col *srcColumn) *tokenize.IDVector {
+func (e *Entry) vector(grams []string, col *srcColumn) *tokenize.IDVector {
 	d := e.feats.Dict()
 	overflow := uint32(d.Len())
 	keys := make([]uint64, 0, len(col.counts))
@@ -47,7 +26,7 @@ func (e *Entry) vector(col *srcColumn) *tokenize.IDVector {
 		if c == 0 {
 			continue
 		}
-		id, ok := d.Lookup(col.col.Grams[k])
+		id, ok := d.Lookup(grams[k])
 		if !ok {
 			id = overflow
 			overflow++
@@ -120,7 +99,7 @@ func retrieve(entries []*Entry, sf *match.SourceFeatures, k int, minScore float6
 				break
 			}
 			f := max(minScore, needed)
-			vec := e.vector(&cols[j])
+			vec := e.vector(sf.Cols[j].Grams, &cols[j])
 			r := row[:ix.Columns()]
 			ix.ScoreColumnsFloored(vec, r, f)
 			best := 0.0
@@ -151,59 +130,4 @@ func retrieve(entries []*Entry, sf *match.SourceFeatures, k int, minScore float6
 
 	sortCatalogScores(scores)
 	return scores
-}
-
-// sortCatalogScores orders retrieval outcomes survivors-first
-// (evidence desc, name asc), then pruned catalogs, then
-// budget-skipped ones — the shared presentation order of both
-// retrieval paths.
-func sortCatalogScores(scores []CatalogScore) {
-	sort.SliceStable(scores, func(i, j int) bool {
-		a, b := scores[i], scores[j]
-		if a.Skipped != b.Skipped {
-			return !a.Skipped
-		}
-		if a.Pruned != b.Pruned {
-			return !a.Pruned
-		}
-		if a.Evidence != b.Evidence {
-			return a.Evidence > b.Evidence
-		}
-		return a.Name < b.Name
-	})
-}
-
-// topK tracks the k best evidence values seen so far; kth reports the
-// advancing floor — 0 until k catalogs have been scored.
-type topK struct {
-	k int
-	v []float64 // descending, at most k values
-}
-
-func newTopK(k int) *topK { return &topK{k: k} }
-
-func (t *topK) push(x float64) {
-	if t.k <= 0 {
-		return
-	}
-	i, _ := slices.BinarySearchFunc(t.v, x, func(a, b float64) int {
-		switch {
-		case a > b:
-			return -1
-		case a < b:
-			return 1
-		}
-		return 0
-	})
-	t.v = slices.Insert(t.v, i, x)
-	if len(t.v) > t.k {
-		t.v = t.v[:t.k]
-	}
-}
-
-func (t *topK) kth() float64 {
-	if len(t.v) < t.k {
-		return 0
-	}
-	return t.v[len(t.v)-1]
 }

@@ -355,7 +355,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"ctxmatchd_degraded_total 0",
 		"ctxmatchd_snapshot_quarantined_total 0",
 		"ctxmatchd_breaker_open 0",
-		"ctxmatchd_fused_bypass_total 0",
 		"# TYPE ctxmatchd_http_request_duration_seconds histogram",
 	} {
 		if !strings.Contains(text, want) {

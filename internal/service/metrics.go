@@ -81,27 +81,20 @@ func newServerMetrics(s *Server) *serverMetrics {
 	r.NewGaugeFunc("ctxmatchd_breaker_open",
 		"Catalogs whose match-any circuit breaker is currently open.",
 		func() float64 { return float64(s.fleet.OpenBreakers()) })
-	r.NewGaugeFunc("ctxmatchd_fused_bypass_total",
-		"Match-any retrievals served by the per-catalog fallback because a writer held the fleet lock (install or compaction).",
-		func() float64 { return float64(s.fleet.Bypasses()) })
-	// The fused retrieval index behind /v1/match-any: structure size
-	// (slots, tombstones awaiting compaction, global grams, fused runs,
-	// estimated bytes) and lifetime bound-pass effectiveness (probes,
-	// catalog-columns skipped on the fused bound alone). Each gauge
-	// snapshots the fleet under its read lock at scrape time.
+	// The fused retrieval index behind /v1/match-any: the published
+	// version's size (slots, global grams, estimated bytes) and the
+	// fleet's lifetime bound-pass effectiveness (probes, catalog-columns
+	// skipped on the bound alone). A scrape reads the published state
+	// without a lock, like any match-any.
 	fusedGauge := func(name, help string, field func(s repository.FusedStats) float64) {
 		r.NewGaugeFunc("ctxmatchd_fused_"+name, help,
 			func() float64 { return field(s.fleet.FusedStats()) })
 	}
-	fusedGauge("slots", "Fused index slot-table length, tombstones included.",
+	fusedGauge("slots", "Fused index slot-table length, free positions included.",
 		func(st repository.FusedStats) float64 { return float64(st.Slots) })
-	fusedGauge("tombstones", "Fused index slots tombstoned and awaiting compaction.",
-		func(st repository.FusedStats) float64 { return float64(st.Tombstones) })
-	fusedGauge("grams", "Distinct grams in the fused index's shared global dictionary.",
+	fusedGauge("grams", "Grams in the fused index's global dictionary, those held only by departed catalogs included.",
 		func(st repository.FusedStats) float64 { return float64(st.Grams) })
-	fusedGauge("runs", "Catalog-tagged posting runs in the fused index.",
-		func(st repository.FusedStats) float64 { return float64(st.Runs) })
-	fusedGauge("bytes", "Estimated memory held by the fused index, inverse remaps included.",
+	fusedGauge("bytes", "Estimated memory held by the fused index: dictionary, slot table and inverse remaps.",
 		func(st repository.FusedStats) float64 { return float64(st.Bytes) })
 	fusedGauge("probes_total", "Fused bound passes served (one per source column per retrieval).",
 		func(st repository.FusedStats) float64 { return float64(st.Probes) })

@@ -52,8 +52,12 @@ type Registry struct {
 // Observer is notified of registry mutations: every publish of a
 // prepared handle under a name (prepare, re-prepare, snapshot install)
 // and every removal (LRU eviction, explicit delete). Callbacks run
-// under the registry lock — they must be fast and must not re-enter the
-// registry. The fleet retrieval index is the canonical observer.
+// under the registry lock, so an observer sees mutations in registry
+// order; they must be fast and must not re-enter the registry. The
+// fleet retrieval index is the canonical observer: it derives its next
+// state off to the side and publishes it with one atomic store, so a
+// callback never waits for a match-any in flight, and no match-any
+// waits for a callback.
 type Observer interface {
 	Installed(name string, generation int, t *ctxmatch.Target)
 	Removed(name string)

@@ -191,16 +191,14 @@ func TestMatchAnyObservesPatch(t *testing.T) {
 		t.Fatalf("match-any edges for patched catalog differ from direct match:\n%s\n%s", fromAny, fromDirect)
 	}
 
-	// The fused index gauges track the swapped fleet: two live slots and
-	// no tombstones (the swap's tombstone crossed the half-dead mark of
-	// this two-catalog fleet and compacted away).
+	// The fused index gauges track the swapped fleet: the swap took the
+	// catalog's old slot position, so the slot table still has two.
 	resp, body = doJSON(t, http.MethodGet, ts.URL+"/metrics", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("metrics status = %d", resp.StatusCode)
 	}
 	for _, want := range []string{
 		"ctxmatchd_fused_slots 2",
-		"ctxmatchd_fused_tombstones 0",
 		"ctxmatchd_fused_grams ",
 		"ctxmatchd_fused_probes_total ",
 	} {
