@@ -1,8 +1,7 @@
 // Package classify implements the classifiers behind the view-inference
 // algorithms of §3.2: a Naive Bayes classifier over 3-grams for text
-// attributes, a Gaussian ("statistical") classifier for numeric
-// attributes, and the majority-class baseline CNaive that anchors the
-// significance test of ClusteredViewGen.
+// attributes and a Gaussian ("statistical") classifier for numeric
+// attributes.
 package classify
 
 import (
@@ -199,68 +198,6 @@ func (g *Gaussian) majority() string {
 	return best
 }
 
-// Majority is CNaive of §3.2.2: it always predicts the most common
-// training label v*, regardless of the input value.
-type Majority struct {
-	counts map[string]int
-	total  int
-}
-
-// NewMajority returns an empty baseline classifier.
-func NewMajority() *Majority {
-	return &Majority{counts: map[string]int{}}
-}
-
-// Train implements Classifier (the value is ignored).
-func (m *Majority) Train(_ relational.Value, label string) {
-	m.counts[label]++
-	m.total++
-}
-
-// Classify implements Classifier, returning the majority label. Ties
-// break lexicographically for determinism.
-func (m *Majority) Classify(relational.Value) (string, bool) {
-	if m.total == 0 {
-		return "", false
-	}
-	return m.Best(), true
-}
-
-// Best returns the most common training label v*.
-func (m *Majority) Best() string {
-	best, bestN := "", -1
-	for _, label := range sortedKeys(m.counts) {
-		if n := m.counts[label]; n > bestN {
-			best, bestN = label, n
-		}
-	}
-	return best
-}
-
-// P returns the training frequency |v*|/n of the majority label: the
-// success probability of the binomial null model in §3.2.2.
-func (m *Majority) P() float64 {
-	if m.total == 0 {
-		return 0
-	}
-	return float64(m.counts[m.Best()]) / float64(m.total)
-}
-
-// Labels implements Classifier.
-func (m *Majority) Labels() []string { return sortedKeys(m.counts) }
-
 func sortedKeys[V any](m map[string]V) []string {
 	return slices.Sorted(maps.Keys(m))
-}
-
-// Evaluate runs a trained classifier over labelled test pairs and returns
-// the number of correct predictions, the basis of both MicroF1 and the
-// significance test.
-func Evaluate(c Classifier, values []relational.Value, labels []string) (correct int) {
-	for i, v := range values {
-		if got, ok := c.Classify(v); ok && got == labels[i] {
-			correct++
-		}
-	}
-	return correct
 }

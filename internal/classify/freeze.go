@@ -327,45 +327,3 @@ func (f *FrozenGaussian) ClassifyIndex(v relational.Value) (int, bool) {
 	}
 	return best, true
 }
-
-// FrozenMajority is the compiled form of Majority: the single majority
-// label, pinned.
-type FrozenMajority struct {
-	labels  []string
-	bestIdx int
-	trained bool
-}
-
-// Freeze compiles the baseline classifier.
-func (m *Majority) Freeze() *FrozenMajority {
-	f := &FrozenMajority{labels: m.Labels(), bestIdx: -1, trained: m.total > 0}
-	if f.trained {
-		best := m.Best()
-		for i, l := range f.labels {
-			if l == best {
-				f.bestIdx = i
-				break
-			}
-		}
-	}
-	return f
-}
-
-// Labels implements FrozenClassifier.
-func (f *FrozenMajority) Labels() []string { return f.labels }
-
-// Classify implements FrozenClassifier.
-func (f *FrozenMajority) Classify(relational.Value) (string, bool) {
-	if !f.trained {
-		return "", false
-	}
-	return f.labels[f.bestIdx], true
-}
-
-// ClassifyIndex implements FrozenClassifier.
-func (f *FrozenMajority) ClassifyIndex(relational.Value) (int, bool) {
-	if !f.trained {
-		return -1, false
-	}
-	return f.bestIdx, true
-}

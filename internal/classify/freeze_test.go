@@ -44,7 +44,6 @@ func TestFrozenAgreesWithLive(t *testing.T) {
 		for _, build := range []func() Classifier{
 			func() Classifier { return NewNaiveBayes() },
 			func() Classifier { return NewGaussian() },
-			func() Classifier { return NewMajority() },
 		} {
 			live := build()
 			n := rng.Intn(60) // occasionally zero: the untrained case

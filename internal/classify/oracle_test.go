@@ -10,15 +10,13 @@ import (
 
 // Freeze compiles a trained classifier into its immutable frozen form.
 // NaiveBayes vocab grams are interned into dict (which must still be
-// building); Gaussian and Majority ignore the dictionary. The live
+// building); Gaussian ignores the dictionary. The live
 // classifier remains usable — Freeze only reads it.
 func Freeze(c Classifier, dict *tokenize.Dict) FrozenClassifier {
 	switch c := c.(type) {
 	case *NaiveBayes:
 		return c.Freeze(dict)
 	case *Gaussian:
-		return c.Freeze()
-	case *Majority:
 		return c.Freeze()
 	default:
 		panic("classify: Freeze of unknown classifier type")

@@ -34,12 +34,6 @@ func (s *ScoredCandidate) key() string {
 	return s.condKey
 }
 
-// Improvement returns δc of §3: the candidate's confidence gain over its
-// base match, in percentage points.
-func (s ScoredCandidate) Improvement() float64 {
-	return 100 * (s.Match.Confidence - s.Base.Confidence)
-}
-
 // Result is the full output of one ContextMatch run.
 type Result struct {
 	// Matches is M of Figure 5: the selected contextual matches.
@@ -280,7 +274,7 @@ func (r *runState) matchTable(rs *relational.Table) tableResult {
 		return tableResult{err: err}
 	}
 
-	cands := inferCandidateViews(rs, r.tgt, len(protos) > 0, r.opt, r.fcls, r.proj) // line 5
+	cands := inferCandidateViews(rs, len(protos) > 0, r.opt, r.fcls, r.proj) // line 5
 	var fams []ViewFamily
 	for _, c := range cands {
 		if c.Family != nil {
@@ -670,7 +664,7 @@ func (r *runState) stageMatches(view *relational.Table, used map[string]bool, pr
 	defer bound.Release()
 	resolved := resolveProtos(bound, protos)
 	var rl []ScoredCandidate
-	for _, c := range inferCandidateViews(view, r.tgt, len(protos) > 0, r.opt, r.fcls, r.proj) {
+	for _, c := range inferCandidateViews(view, len(protos) > 0, r.opt, r.fcls, r.proj) {
 		if err := r.ctx.Err(); err != nil {
 			return nil, err
 		}

@@ -45,15 +45,6 @@ type ViewFamily struct {
 	cachedKey string
 }
 
-// Conditions returns one condition per view in the family.
-func (f ViewFamily) Conditions() []relational.Condition {
-	out := make([]relational.Condition, len(f.Groups))
-	for i, g := range f.Groups {
-		out[i] = g.Condition(f.Attr)
-	}
-	return out
-}
-
 // String renders the family compactly for diagnostics.
 func (f ViewFamily) String() string {
 	parts := make([]string, len(f.Groups))

@@ -32,12 +32,12 @@ func TestViewFamilyConditionsAndString(t *testing.T) {
 		Evidence:     "code",
 		Significance: 0.99,
 	}
-	conds := f.Conditions()
-	if len(conds) != 2 {
-		t.Fatalf("Conditions() = %v", conds)
+	cands := candidatesFromFamilies([]ViewFamily{f})
+	if len(cands) != 2 {
+		t.Fatalf("candidates = %v", cands)
 	}
-	if conds[0].String() != "type = 1" || conds[1].String() != "type in (2, 3)" {
-		t.Errorf("conditions = %v, %v", conds[0], conds[1])
+	if cands[0].Cond.String() != "type = 1" || cands[1].Cond.String() != "type in (2, 3)" {
+		t.Errorf("conditions = %v, %v", cands[0].Cond, cands[1].Cond)
 	}
 	s := f.String()
 	for _, want := range []string{"inv.type", "{1}", "{2,3}", "code", "0.990"} {

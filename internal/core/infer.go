@@ -11,32 +11,25 @@ import (
 )
 
 // Candidate is one candidate view condition produced by
-// InferCandidateViews, with the family that motivated it (nil provenance
+// inferCandidateViews, with the family that motivated it (nil provenance
 // for NaiveInfer).
 type Candidate struct {
 	Cond   relational.Condition
 	Family *ViewFamily
 }
 
-// InferCandidateViews produces the set C of candidate view conditions for
-// source table r (line 5 of Figure 5). matches is the output of
-// StandardMatch; per the paper no conditions are returned when it is
-// empty. The target schema is consulted only by TgtClassInfer.
-func InferCandidateViews(r *relational.Table, tgt *relational.Schema, hasMatches bool, opt Options) []Candidate {
-	return inferCandidateViews(r, tgt, hasMatches, opt, nil, nil)
-}
-
-// inferCandidateViews is InferCandidateViews with an optional pre-built
-// frozen target classifier set. ContextMatch compiles fcls once per
-// prepared target (or takes it from the target cache) and shares it
-// across all per-table workers; nil builds the target's artifacts here,
-// which the one-shot entry points rely on. proj, when non-nil, is the
-// request's source tokenization keyed into the prepared target's
-// dictionary; the target tagger classifies from it instead of
-// re-tokenizing values. Every call derives its own RNG from opt.Seed,
-// so concurrent per-table inference stays deterministic regardless of
-// goroutine interleaving.
-func inferCandidateViews(r *relational.Table, tgt *relational.Schema, hasMatches bool, opt Options, fcls *frozenTargetClassifiers, proj *match.SourceProjection) []Candidate {
+// inferCandidateViews produces the set C of candidate view conditions for
+// source table r (line 5 of Figure 5). hasMatches reports whether
+// StandardMatch accepted any match; per the paper no conditions are
+// returned when it did not. TgtClassInfer tags r's rows with fcls, the
+// prepared target's frozen classifiers, which ContextMatch compiles
+// once per target (or takes from the target cache) and shares across
+// all per-table workers. proj, when non-nil, is the request's source
+// tokenization keyed into the prepared target's dictionary; the target
+// tagger classifies from it instead of re-tokenizing values. Every call
+// derives its own RNG from opt.Seed, so concurrent per-table inference
+// stays deterministic regardless of goroutine interleaving.
+func inferCandidateViews(r *relational.Table, hasMatches bool, opt Options, fcls *frozenTargetClassifiers, proj *match.SourceProjection) []Candidate {
 	if !hasMatches {
 		return nil
 	}
@@ -52,9 +45,6 @@ func inferCandidateViews(r *relational.Table, tgt *relational.Schema, hasMatches
 			factory:        srcClassifierFactory,
 		}, rng))
 	case TgtClassInfer:
-		if fcls == nil {
-			fcls = updateTargetArtifacts(nil, tgt, nil, true, 1).fcls
-		}
 		tagger := newTagger(fcls, proj)
 		return candidatesFromFamilies(clusteredViewGen(r, clusterConfig{
 			threshold:      opt.SignificanceT,
@@ -457,31 +447,4 @@ func (c *tgtClassifier) Predict(row int, _ relational.Value) int {
 		return c.bestCAT[tag]
 	}
 	return c.majority
-}
-
-// families is a convenience wrapper used by tests and the façade: it runs
-// the configured inference and returns the raw view families (empty for
-// NaiveInfer, which has none).
-func families(r *relational.Table, tgt *relational.Schema, opt Options) []ViewFamily {
-	rng := opt.rng()
-	cfg := clusterConfig{
-		threshold:      opt.SignificanceT,
-		trainFrac:      opt.TrainFrac,
-		earlyDisjuncts: opt.EarlyDisjuncts,
-	}
-	switch opt.Inference {
-	case SrcClassInfer:
-		cfg.factory = srcClassifierFactory
-	case TgtClassInfer:
-		cfg.factory = newTagger(updateTargetArtifacts(nil, tgt, nil, true, 1).fcls, nil).factory
-	default:
-		return nil
-	}
-	return clusteredViewGen(r, cfg, rng)
-}
-
-// Families exposes the inferred well-clustered view families for
-// diagnostics and experiments.
-func Families(r *relational.Table, tgt *relational.Schema, opt Options) []ViewFamily {
-	return families(r, tgt, opt)
 }

@@ -44,18 +44,6 @@ func ContextMatchTarget(ctx context.Context, src, tgt *relational.Schema, opt Op
 	return out, nil
 }
 
-// TargetContextualMatches filters a reversed result for matches whose
-// target side is a view (the contextual ones).
-func (r *Result) TargetContextualMatches() []match.Match {
-	var out []match.Match
-	for _, m := range r.Matches {
-		if m.Target.IsView() {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
 func unswapAll(ms []match.Match) []match.Match {
 	out := make([]match.Match, len(ms))
 	for i, m := range ms {

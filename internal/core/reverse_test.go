@@ -28,7 +28,14 @@ func TestContextMatchTarget(t *testing.T) {
 		t.Fatalf("ContextMatchTarget: %v", err)
 	}
 
-	ctx := res.TargetContextualMatches()
+	// The contextual matches of a reversed result: those whose target
+	// side is a view.
+	var ctx []match.Match
+	for _, m := range res.Matches {
+		if m.Target.IsView() {
+			ctx = append(ctx, m)
+		}
+	}
 	if len(ctx) == 0 {
 		t.Fatal("no target contextual matches")
 	}

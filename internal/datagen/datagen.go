@@ -137,12 +137,6 @@ func (d *Dataset) Evaluate(selected []match.Match) stats.PR {
 	return pr
 }
 
-// FMeasure evaluates matches and returns the §5 FMeasure in [0,100].
-func (d *Dataset) FMeasure(selected []match.Match) float64 {
-	pr := d.Evaluate(selected)
-	return stats.FMeasure100(pr.Precision, pr.Recall)
-}
-
 // EvaluateEdges scores the public, reference-based match edges of a
 // ctxmatch.Result against the gold standard. Each view edge is rebound
 // to this dataset's source schema by re-materializing the view from its

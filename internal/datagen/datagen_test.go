@@ -387,9 +387,6 @@ func TestEvaluate(t *testing.T) {
 	if pr.Precision != 1 {
 		t.Errorf("duplicate precision = %v, want 1", pr.Precision)
 	}
-	if f := ds.FMeasure([]match.Match{correct, dup}); f <= 0 || f > 100 {
-		t.Errorf("FMeasure = %v", f)
-	}
 	// Empty selection.
 	pr = ds.Evaluate(nil)
 	if pr.Precision != 0 || pr.Recall != 0 {

@@ -969,12 +969,6 @@ func (b *Bound) StandardMatches(tau float64) []Match {
 	return out
 }
 
-// Source returns the bound source table.
-func (b *Bound) Source() *relational.Table { return b.src }
-
-// TargetSchema returns the bound target schema.
-func (b *Bound) TargetSchema() *relational.Schema { return b.tgt }
-
 // Explanation is one matcher's contribution to a pair's combined
 // confidence, for diagnostics.
 type Explanation struct {
@@ -1029,6 +1023,3 @@ func SortMatches(ms []Match) {
 		return strings.Compare(a.TargetAttr, b.TargetAttr)
 	})
 }
-
-// Engine returns the engine the Bound was created from.
-func (b *Bound) Engine() *Engine { return b.engine }

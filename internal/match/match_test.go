@@ -330,13 +330,3 @@ func TestSortMatchesDeterminism(t *testing.T) {
 		t.Errorf("tie-break order wrong: %v", ms)
 	}
 }
-
-func TestBoundAccessors(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	src, tgt := fixture(rng, 10)
-	e := NewEngine()
-	b := e.Bind(src, tgt)
-	if b.Source() != src || b.TargetSchema() != tgt || b.Engine() != e {
-		t.Error("accessors broken")
-	}
-}

@@ -239,9 +239,6 @@ func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) {
 	r.register(name, &gaugeFam{name: name, help: help, read: fn})
 }
 
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
 // Add adds d (negative to subtract).
 func (g *Gauge) Add(d float64) {
 	for {
@@ -282,22 +279,6 @@ type Histogram struct {
 // index probes through multi-second cold matches.
 var DefBuckets = []float64{.001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
 
-// NewHistogram registers an unlabelled histogram with the given
-// ascending bucket upper bounds (nil = DefBuckets).
-func (r *Registry) NewHistogram(name, help string, buckets []float64) *Histogram {
-	if buckets == nil {
-		buckets = DefBuckets
-	}
-	for i := 1; i < len(buckets); i++ {
-		if buckets[i] <= buckets[i-1] {
-			panic(fmt.Sprintf("metrics: histogram %q buckets not ascending", name))
-		}
-	}
-	h := &Histogram{bounds: buckets, counts: make([]atomic.Int64, len(buckets))}
-	r.register(name, &histogramFam{name: name, help: help, h: h})
-	return h
-}
-
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v)
@@ -310,17 +291,8 @@ func (h *Histogram) Observe(v float64) {
 	h.sumMu.Unlock()
 }
 
-// Count returns how many values have been observed.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-type histogramFam struct {
-	name, help string
-	h          *Histogram
-}
-
-func (f *histogramFam) meta() (string, string, string) { return f.name, f.help, "histogram" }
-func (f *histogramFam) series() []sample {
-	h := f.h
+// series renders the histogram's bucket, sum and count series.
+func (h *Histogram) series() []sample {
 	out := make([]sample, 0, len(h.bounds)+3)
 	var cum int64
 	for i, ub := range h.bounds {
@@ -401,7 +373,7 @@ func (f *histogramVecFam) series() []sample {
 		// renders `_bucket{le="x"}`; labelled children need
 		// `_bucket{route="r",le="x"}`.
 		inner := strings.TrimSuffix(strings.TrimPrefix(suf, "{"), "}")
-		for _, s := range (&histogramFam{h: kids[i]}).series() {
+		for _, s := range kids[i].series() {
 			out = append(out, sample{suffix: spliceLabels(s.suffix, inner), value: s.value})
 		}
 	}

@@ -63,7 +63,7 @@ func TestGaugeAndGaugeFunc(t *testing.T) {
 	if g.Value() != 2 {
 		t.Fatalf("gauge = %v, want 2", g.Value())
 	}
-	g.Set(7.5)
+	g.Add(5.5)
 	x := 0.25
 	r.NewGaugeFunc("hit_rate", "Index hit rate.", func() float64 { return x })
 	got := render(t, r)
@@ -76,12 +76,9 @@ func TestGaugeAndGaugeFunc(t *testing.T) {
 
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
-	h := r.NewHistogram("latency_seconds", "Latency.", []float64{0.1, 1, 10})
+	h := r.NewHistogramVec("latency_seconds", "Latency.", []float64{0.1, 1, 10}).With()
 	for _, v := range []float64{0.05, 0.1, 0.5, 20} {
 		h.Observe(v)
-	}
-	if h.Count() != 4 {
-		t.Fatalf("Count = %d, want 4", h.Count())
 	}
 	wantLines(t, render(t, r),
 		"# TYPE latency_seconds histogram",
@@ -144,7 +141,7 @@ func TestConcurrentUse(t *testing.T) {
 	c := r.NewCounter("ops_total", "Ops.")
 	v := r.NewCounterVec("ops_by_kind_total", "Ops by kind.", "kind")
 	g := r.NewGauge("inflight", "In-flight.")
-	h := r.NewHistogram("lat_seconds", "Latency.", nil)
+	h := r.NewHistogramVec("lat_seconds", "Latency.", nil).With()
 	hv := r.NewHistogramVec("lat_by_kind_seconds", "Latency by kind.", nil, "kind")
 
 	var wg sync.WaitGroup
@@ -181,7 +178,7 @@ func TestConcurrentUse(t *testing.T) {
 	if c.Value() != 1600 {
 		t.Fatalf("counter = %d, want 1600", c.Value())
 	}
-	if h.Count() != 1600 {
-		t.Fatalf("histogram count = %d, want 1600", h.Count())
+	if n := h.count.Load(); n != 1600 {
+		t.Fatalf("histogram count = %d, want 1600", n)
 	}
 }

@@ -220,15 +220,6 @@ func (c Or) Equal(other Condition) bool {
 	return ok && condSetEqual(c.Conds, o.Conds)
 }
 
-// ConditionComplexity returns k for a k-condition: the number of distinct
-// attributes mentioned (§2.2). True is a 0-condition.
-func ConditionComplexity(c Condition) int {
-	if c == nil {
-		return 0
-	}
-	return len(c.Attrs())
-}
-
 func unionAttrs(conds []Condition) []string {
 	seen := map[string]bool{}
 	var out []string

@@ -20,9 +20,6 @@ func TestTrueCondition(t *testing.T) {
 	if !c.Equal(True{}) || c.Equal(Eq{Attr: "a", Value: I(1)}) {
 		t.Error("True equality wrong")
 	}
-	if ConditionComplexity(c) != 0 || ConditionComplexity(nil) != 0 {
-		t.Error("True and nil are 0-conditions")
-	}
 }
 
 func TestEqCondition(t *testing.T) {
@@ -44,7 +41,7 @@ func TestEqCondition(t *testing.T) {
 	if got := sc.String(); got != "descr = 'audio cd'" {
 		t.Errorf("string String = %q", got)
 	}
-	if ConditionComplexity(c) != 1 {
+	if len(c.Attrs()) != 1 {
 		t.Error("Eq is a 1-condition")
 	}
 	missing := Eq{Attr: "zzz", Value: I(1)}
@@ -114,8 +111,8 @@ func TestAndOrConditions(t *testing.T) {
 	if n != 2 {
 		t.Errorf("type=1 and instock selects %d rows, want 2", n)
 	}
-	if ConditionComplexity(and) != 2 {
-		t.Errorf("complexity = %d, want 2", ConditionComplexity(and))
+	if n := len(and.Attrs()); n != 2 {
+		t.Errorf("and mentions %d attributes, want 2", n)
 	}
 	or := NewOr(Eq{Attr: "type", Value: I(2)}, Eq{Attr: "descr", Value: S("hardcover")})
 	n = 0

@@ -14,6 +14,9 @@ const sampleCSV = `id:int,name:text,type,instock:bool,price:real
 2,wasteland,book,true,
 `
 
+// cell returns row r's value for the named attribute of t.
+func cell(t *Table, r int, name string) Value { return t.Rows[r][t.AttrIndex(name)] }
+
 func TestReadCSV(t *testing.T) {
 	tab, err := ReadCSV("inv", strings.NewReader(sampleCSV))
 	if err != nil {
@@ -28,14 +31,14 @@ func TestReadCSV(t *testing.T) {
 	if a, _ := tab.Attr("price"); a.Type != Real {
 		t.Errorf("price type = %v", a.Type)
 	}
-	if !tab.Value(0, "instock").Equal(B(true)) {
-		t.Errorf("Y should parse as true, got %v", tab.Value(0, "instock"))
+	if !cell(tab, 0, "instock").Equal(B(true)) {
+		t.Errorf("Y should parse as true, got %v", cell(tab, 0, "instock"))
 	}
-	if !tab.Value(2, "price").IsNull() {
-		t.Errorf("empty cell should be NULL, got %v", tab.Value(2, "price"))
+	if !cell(tab, 2, "price").IsNull() {
+		t.Errorf("empty cell should be NULL, got %v", cell(tab, 2, "price"))
 	}
-	if !tab.Value(1, "price").Equal(F(9.99)) {
-		t.Errorf("price = %v", tab.Value(1, "price"))
+	if !cell(tab, 1, "price").Equal(F(9.99)) {
+		t.Errorf("price = %v", cell(tab, 1, "price"))
 	}
 }
 

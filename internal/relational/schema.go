@@ -16,13 +16,6 @@ type Attribute struct {
 // attribute of the owning table.
 type Tuple []Value
 
-// Clone returns a copy of the tuple.
-func (t Tuple) Clone() Tuple {
-	out := make(Tuple, len(t))
-	copy(out, t)
-	return out
-}
-
 // Table is a base table or a select-only view with its sample instance.
 // The instance ("sample input" in §2.1) travels with the table because
 // every algorithm in the paper is instance-based.
@@ -82,15 +75,6 @@ func (t *Table) Attr(name string) (Attribute, bool) {
 	return Attribute{}, false
 }
 
-// AttrNames returns the attribute names in declaration order.
-func (t *Table) AttrNames() []string {
-	names := make([]string, len(t.Attrs))
-	for i, a := range t.Attrs {
-		names[i] = a.Name
-	}
-	return names
-}
-
 // Append adds a row. It panics if the arity is wrong, which always
 // indicates a programming error in a generator or loader.
 func (t *Table) Append(row Tuple) {
@@ -117,15 +101,6 @@ func (t *Table) Column(name string) []Value {
 		out = append(out, r[i])
 	}
 	return out
-}
-
-// Value returns row r's value for the named attribute.
-func (t *Table) Value(r int, name string) Value {
-	i := t.AttrIndex(name)
-	if i < 0 {
-		return Null
-	}
-	return t.Rows[r][i]
 }
 
 // Select materializes the select-only view "select * from t where c" over
@@ -338,13 +313,6 @@ func (t *Table) categoricalAttrs(opt CategoricalOptions) []string {
 		}
 	}
 	return out
-}
-
-// NonCategoricalAttrs returns NonCat(R): attributes that are not
-// categorical and hence candidates to be "documents" in ClusteredViewGen.
-func (t *Table) NonCategoricalAttrs() []string {
-	_, nonCat := t.PartitionAttrs()
-	return nonCat
 }
 
 // PartitionAttrs splits the attributes into Cat(R) and NonCat(R) in one

@@ -43,15 +43,8 @@ func TestTableBasics(t *testing.T) {
 	if !ok || a.Type != Text {
 		t.Errorf("Attr(name) = %v, %v", a, ok)
 	}
-	if got := inv.Value(1, "name"); !got.Equal(S("the white album")) {
-		t.Errorf("Value(1,name) = %v", got)
-	}
-	if got := inv.Value(0, "missing"); !got.IsNull() {
-		t.Errorf("Value of missing attr = %v, want NULL", got)
-	}
-	names := inv.AttrNames()
-	if len(names) != 6 || names[0] != "id" || names[5] != "descr" {
-		t.Errorf("AttrNames = %v", names)
+	if got := inv.Rows[1][inv.AttrIndex("name")]; !got.Equal(S("the white album")) {
+		t.Errorf("row 1 name = %v", got)
 	}
 }
 
@@ -207,9 +200,8 @@ func TestIsCategorical(t *testing.T) {
 	if len(cats) != 1 || cats[0] != "type" {
 		t.Errorf("CategoricalAttrs = %v", cats)
 	}
-	nonCats := tab.NonCategoricalAttrs()
-	if len(nonCats) != 2 {
-		t.Errorf("NonCategoricalAttrs = %v", nonCats)
+	if _, nonCats := tab.PartitionAttrs(); len(nonCats) != 2 {
+		t.Errorf("non-categorical attributes = %v", nonCats)
 	}
 }
 
@@ -298,27 +290,5 @@ func TestSplitExtremeFractionsStayNonEmpty(t *testing.T) {
 	}
 	if _, test := SplitRows(inv.Len(), 1.0, rng); len(test) == 0 {
 		t.Error("test forced to >=1 row")
-	}
-}
-
-func TestSample(t *testing.T) {
-	inv := invTable()
-	rng := rand.New(rand.NewSource(3))
-	s := Sample(inv, 3, rng)
-	if s.Len() != 3 {
-		t.Errorf("Sample(3) has %d rows", s.Len())
-	}
-	s = Sample(inv, 99, rng)
-	if s.Len() != inv.Len() {
-		t.Errorf("Sample(99) has %d rows, want all %d", s.Len(), inv.Len())
-	}
-}
-
-func TestTupleClone(t *testing.T) {
-	orig := Tuple{I(1), S("x")}
-	cl := orig.Clone()
-	cl[0] = I(2)
-	if !orig[0].Equal(I(1)) {
-		t.Error("Clone should not share backing array")
 	}
 }

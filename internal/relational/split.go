@@ -21,14 +21,3 @@ func SplitRows(n int, trainFrac float64, rng *rand.Rand) (train, test []int) {
 	}
 	return perm[:cut], perm[cut:]
 }
-
-// Sample returns a table containing k rows drawn uniformly without
-// replacement (all rows if k >= Len). Used by the sample-size experiment
-// (Figure 18).
-func Sample(t *Table, k int, rng *rand.Rand) *Table {
-	n := t.Len()
-	if k >= n {
-		return t.Restrict(rng.Perm(n))
-	}
-	return t.Restrict(rng.Perm(n)[:k])
-}

@@ -475,14 +475,6 @@ func (r *Report) skip(name, reason, detail string) {
 	r.Skipped = append(r.Skipped, SkippedCatalog{Name: name, Reason: reason, Detail: detail})
 }
 
-// Best returns the top-ranked match, or nil when no catalog matched.
-func (r *Report) Best() *CatalogMatch {
-	if len(r.Ranked) == 0 {
-		return nil
-	}
-	return &r.Ranked[0]
-}
-
 // retrieveBudgetDiv is the retrieval stage's share of the remaining
 // request deadline: 1/retrieveBudgetDiv of it, the rest reserved for
 // the exact matches (the expensive stage).

@@ -18,6 +18,14 @@ import (
 	"ctxmatch/internal/relational"
 )
 
+// Best returns the top-ranked match, or nil when no catalog matched.
+func (r *Report) Best() *CatalogMatch {
+	if len(r.Ranked) == 0 {
+		return nil
+	}
+	return &r.Ranked[0]
+}
+
 // fleetSpec is one catalog of the shared test fleet. The eight specs
 // span all three student layouts, several seeds and shape knobs (so the
 // catalogs are genuinely distinct), and include one enterprise-scale

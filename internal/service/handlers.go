@@ -276,23 +276,10 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 		s.writeMappedError(w, err, http.StatusBadRequest)
 		return
 	}
-	for _, victim := range evicted {
-		s.log.Info("catalog evicted", "name", victim, "for", name)
-		// The healthy snapshot is kept for a cheap re-restore, but any
-		// quarantined *.corrupt sibling is dead weight.
-		s.removeQuarantined(victim)
-	}
 	s.log.Info("catalog prepared", "name", name, "generation", info.Generation,
 		"prepared_ms", time.Duration(info.PreparedNS).Milliseconds(),
 		"tables", info.Tables, "rows", info.Rows)
-	// Persist the fresh generation eagerly; a failure only defers it to
-	// the drain-time flush (the entry stays dirty), never fails the
-	// upload.
-	if s.cfg.SnapshotDir != "" {
-		if err := s.persistCurrent(name, nil, nil); err != nil {
-			s.log.Warn("persisting snapshot", "name", name, "err", err)
-		}
-	}
+	s.publish(name, evicted, nil, nil)
 	status := http.StatusCreated
 	if replaced {
 		status = http.StatusOK
@@ -336,22 +323,10 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.catalogUpdates.With(name).Inc()
 	s.metrics.updateTablesTouched.Add(int64(len(delta.Add) + len(delta.Replace) + len(delta.Drop)))
-	for _, victim := range evicted {
-		s.log.Info("catalog evicted", "name", victim, "for", name)
-		// The healthy snapshot is kept for a cheap re-restore, but any
-		// quarantined *.corrupt sibling is dead weight.
-		s.removeQuarantined(victim)
-	}
 	s.log.Info("catalog updated", "name", name, "generation", info.Generation,
 		"updated_ms", time.Duration(info.PreparedNS).Milliseconds(),
 		"add", len(delta.Add), "replace", len(delta.Replace), "drop", len(delta.Drop))
-	// Like handlePut: persist the fresh generation eagerly; a failure
-	// only defers it to the drain-time flush (the entry stays dirty).
-	if s.cfg.SnapshotDir != "" {
-		if err := s.persistCurrent(name, nil, nil); err != nil {
-			s.log.Warn("persisting snapshot", "name", name, "err", err)
-		}
-	}
+	s.publish(name, evicted, nil, nil)
 	s.writeJSON(w, http.StatusOK, info)
 }
 
@@ -402,25 +377,36 @@ func (s *Server) handlePutSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	info, evicted, replaced := s.reg.Install(name, target)
-	for _, victim := range evicted {
-		s.log.Info("catalog evicted", "name", victim, "for", name)
-		// The healthy snapshot is kept for a cheap re-restore, but any
-		// quarantined *.corrupt sibling is dead weight.
-		s.removeQuarantined(victim)
-	}
 	s.log.Info("catalog restored from uploaded snapshot", "name", name,
 		"generation", info.Generation, "bytes", len(body),
 		"tables", info.Tables, "rows", info.Rows)
-	if s.cfg.SnapshotDir != "" {
-		if err := s.persistCurrent(name, target, body); err != nil {
-			s.log.Warn("persisting snapshot", "name", name, "err", err)
-		}
-	}
+	s.publish(name, evicted, target, body)
 	status := http.StatusCreated
 	if replaced {
 		status = http.StatusOK
 	}
 	s.writeJSON(w, status, info)
+}
+
+// publish finishes a catalog write that installed a new generation of
+// name: it logs each catalog the install evicted and drops its
+// quarantined snapshot (the healthy one is kept for a cheap re-restore,
+// but a *.corrupt sibling is dead weight), then, when a snapshot
+// directory is configured, persists the new generation eagerly. A
+// persist failure only defers it to the drain-time flush (the entry
+// stays dirty), never fails the write. upload and raw are an uploaded
+// snapshot's target and bytes, which persistCurrent may write verbatim;
+// nil for a prepare or a delta.
+func (s *Server) publish(name string, evicted []string, upload *ctxmatch.Target, raw []byte) {
+	for _, victim := range evicted {
+		s.log.Info("catalog evicted", "name", victim, "for", name)
+		s.removeQuarantined(victim)
+	}
+	if s.cfg.SnapshotDir != "" {
+		if err := s.persistCurrent(name, upload, raw); err != nil {
+			s.log.Warn("persisting snapshot", "name", name, "err", err)
+		}
+	}
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {

@@ -18,9 +18,10 @@ import (
 // they already fetched and finish on it, per the library's aliasing
 // rule.
 //
-// Beyond Cap prepared catalogs, the least-recently-used one is evicted
-// and its cached artifacts dropped from the Matcher. "Use" is a match
-// or a (re-)prepare; listing does not touch recency.
+// Beyond its capacity (NewRegistry's cap, the daemon's -max-catalogs),
+// the least-recently-used prepared catalog is evicted and its cached
+// artifacts dropped from the Matcher. "Use" is a match or a
+// (re-)prepare; listing does not touch recency.
 type Registry struct {
 	matcher *ctxmatch.Matcher
 	cap     int
@@ -311,9 +312,6 @@ func (r *Registry) Len() int {
 	defer r.mu.Unlock()
 	return len(r.entries)
 }
-
-// Cap returns the registry's catalog capacity.
-func (r *Registry) Cap() int { return r.cap }
 
 // touchLocked moves name to the most-recently-used end of the order.
 func (r *Registry) touchLocked(name string) {

@@ -111,6 +111,55 @@ func TestSnapshotEndpointsReplicate(t *testing.T) {
 	}
 }
 
+// TestSnapshotReplicaPersisted: a snapshot replicated into a daemon
+// with a snapshot directory is persisted there as bytes that load and
+// rewrite unchanged, and a match against the replica succeeds. Bytes
+// that are not a valid snapshot never reach the replica's registry or
+// its snapshot directory.
+func TestSnapshotReplicaPersisted(t *testing.T) {
+	catDoc, srcDoc := fixtureDocs(t, 1)
+	primary, _ := newTestServer(t, nil)
+	if status, _ := putCatalog(t, primary, "inventory", catDoc); status != http.StatusCreated {
+		t.Fatalf("PUT catalog status = %d", status)
+	}
+	status, snap := getBytes(t, primary.URL+"/v1/catalogs/inventory/snapshot")
+	if status != http.StatusOK {
+		t.Fatalf("GET snapshot status = %d", status)
+	}
+
+	dir := t.TempDir()
+	replica, svc := newTestServer(t, func(c *Config) { c.SnapshotDir = dir })
+	if status, body := putRaw(t, replica.URL+"/v1/catalogs/inventory/snapshot", snap); status != http.StatusCreated {
+		t.Fatalf("PUT snapshot status = %d: %s", status, body)
+	}
+	matchBody(t, replica, "inventory", srcDoc)
+	persisted, err := os.ReadFile(snapshotPath(dir, "inventory"))
+	if err != nil {
+		t.Fatalf("replicated catalog not persisted: %v", err)
+	}
+	loaded, err := ctxmatch.LoadTarget(bytes.NewReader(persisted))
+	if err != nil {
+		t.Fatalf("persisted replica does not load: %v", err)
+	}
+	var rewritten bytes.Buffer
+	if _, err := loaded.WriteSnapshot(&rewritten); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rewritten.Bytes(), persisted) {
+		t.Errorf("persisted replica rewrites to %d different bytes (%d persisted)", rewritten.Len(), len(persisted))
+	}
+
+	if status, body := putRaw(t, replica.URL+"/v1/catalogs/bad/snapshot", []byte("not a snapshot")); status != http.StatusBadRequest {
+		t.Errorf("PUT garbage snapshot = %d: %s", status, body)
+	}
+	if _, ok := svc.Registry().Get("bad"); ok {
+		t.Error("invalid uploaded snapshot installed")
+	}
+	if _, err := os.Stat(snapshotPath(dir, "bad")); !os.IsNotExist(err) {
+		t.Errorf("invalid uploaded snapshot persisted: %v", err)
+	}
+}
+
 // TestSnapshotPersistAndRestore covers the disk side: an upload into a
 // snapshot-dir-configured server lands on disk atomically, a fresh
 // server warm-restarts from that directory before serving, and DELETE

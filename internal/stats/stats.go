@@ -5,10 +5,7 @@
 // the precision/recall/Fβ metrics of the experimental study (§5).
 package stats
 
-import (
-	"math"
-	"slices"
-)
+import "math"
 
 // NormalCDF returns Φ((x-mu)/sigma), the cumulative distribution function
 // of a normal with the given mean and standard deviation. A zero sigma
@@ -30,24 +27,6 @@ func NormalCDF(x, mu, sigma float64) float64 {
 // StdNormalCDF returns Φ(z) for the standard normal.
 func StdNormalCDF(z float64) float64 { return NormalCDF(z, 0, 1) }
 
-// StdNormalQuantile returns Φ⁻¹(p), computed by bisection on the CDF.
-// It panics for p outside (0,1).
-func StdNormalQuantile(p float64) float64 {
-	if p <= 0 || p >= 1 {
-		panic("stats: quantile requires 0 < p < 1")
-	}
-	lo, hi := -40.0, 40.0
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if StdNormalCDF(mid) < p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}
-
 // Moments accumulates count, mean and variance online (Welford's
 // algorithm). The zero value is ready to use.
 type Moments struct {
@@ -64,16 +43,6 @@ func (m *Moments) Add(x float64) {
 	m.m2 += d * (x - m.mean)
 }
 
-// AddAll folds a slice of observations.
-func (m *Moments) AddAll(xs []float64) {
-	for _, x := range xs {
-		m.Add(x)
-	}
-}
-
-// N returns the number of observations.
-func (m *Moments) N() int { return m.n }
-
 // Mean returns the sample mean (0 with no observations).
 func (m *Moments) Mean() float64 { return m.mean }
 
@@ -85,27 +54,8 @@ func (m *Moments) Var() float64 {
 	return m.m2 / float64(m.n)
 }
 
-// SampleVar returns the sample variance (dividing by n-1).
-func (m *Moments) SampleVar() float64 {
-	if m.n < 2 {
-		return 0
-	}
-	return m.m2 / float64(m.n-1)
-}
-
 // Std returns the population standard deviation.
 func (m *Moments) Std() float64 { return math.Sqrt(m.Var()) }
-
-// SampleStd returns the sample standard deviation.
-func (m *Moments) SampleStd() float64 { return math.Sqrt(m.SampleVar()) }
-
-// MeanStd is a convenience for computing mean and population standard
-// deviation of a slice in one pass.
-func MeanStd(xs []float64) (mean, std float64) {
-	var m Moments
-	m.AddAll(xs)
-	return m.Mean(), m.Std()
-}
 
 // BinomialMeanStd returns the mean n·p and standard deviation
 // sqrt(n·p·(1-p)) of a Binomial(n, p): the null model of §3.2.2 for the
@@ -144,19 +94,6 @@ type PR struct {
 	Recall    float64
 }
 
-// PrecisionRecall computes precision and recall from true positives,
-// false positives and false negatives. Empty denominators yield 0.
-func PrecisionRecall(tp, fp, fn int) PR {
-	var pr PR
-	if tp+fp > 0 {
-		pr.Precision = float64(tp) / float64(tp+fp)
-	}
-	if tp+fn > 0 {
-		pr.Recall = float64(tp) / float64(tp+fn)
-	}
-	return pr
-}
-
 // FBeta combines precision and recall with the standard Fβ function
 // ((1+β²)·P·R)/(β²·P+R). FBeta(p, r, 1) is the F1 used throughout §5.
 func FBeta(precision, recall, beta float64) float64 {
@@ -173,40 +110,3 @@ func F1(precision, recall float64) float64 { return FBeta(precision, recall, 1) 
 
 // FMeasure100 is the §5 "FMeasure": F1 scaled to [0,100].
 func FMeasure100(precision, recall float64) float64 { return 100 * F1(precision, recall) }
-
-// MicroF1 computes the combined, micro-averaged precision and recall of a
-// single-label classifier from the count of correct predictions, as in
-// §3.2.2. For single-label classification micro-averaged precision,
-// recall and accuracy coincide, so this is correct/total.
-func MicroF1(correct, total int) float64 {
-	if total == 0 {
-		return 0
-	}
-	return float64(correct) / float64(total)
-}
-
-// Median returns the median of xs (0 for an empty slice). The input is
-// not modified.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	slices.Sort(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
-}
-
-// Clamp limits x to [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}

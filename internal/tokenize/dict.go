@@ -219,9 +219,6 @@ func NewVectorBuilder() *VectorBuilder {
 	return &VectorBuilder{counts: map[uint32]float64{}, local: map[string]uint32{}}
 }
 
-// AddID counts one occurrence of the gram with the given ID.
-func (b *VectorBuilder) AddID(id uint32) { b.counts[id]++ }
-
 // AddGram counts one occurrence of gram g against dictionary d: interned
 // normally while d is building, or assigned a per-build overflow ID
 // (≥ d.Len(), never colliding with a real ID) once d is frozen.

@@ -244,12 +244,12 @@ func TestCosineIDsAgreesWithMapReference(t *testing.T) {
 func TestCosineIDsSkewedGallop(t *testing.T) {
 	big := NewVectorBuilder()
 	for i := uint32(0); i < 1000; i++ {
-		big.AddID(i)
+		big.counts[i]++
 	}
 	bigV := big.Build()
 	small := NewVectorBuilder()
-	small.AddID(10)
-	small.AddID(999)
+	small.counts[10]++
+	small.counts[999]++
 	smallV := small.Build()
 	got := CosineIDs(smallV, bigV)
 	want := 2 / (smallV.Norm() * bigV.Norm())
@@ -325,9 +325,9 @@ func BenchmarkCosineIDs(b *testing.B) {
 	ba, bb := NewVectorBuilder(), NewVectorBuilder()
 	for i := 0; i < 200; i++ {
 		ba.AddTrigrams(d, "widget model alpha")
-		ba.AddID(uint32(i * 3))
+		ba.counts[uint32(i*3)]++
 		bb.AddTrigrams(d, "widget model beta")
-		bb.AddID(uint32(i * 2))
+		bb.counts[uint32(i*2)]++
 	}
 	va, vb := ba.Build(), bb.Build()
 	b.ReportAllocs()

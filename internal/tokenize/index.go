@@ -81,9 +81,6 @@ func BuildIndex(cols []*IDVector, nGrams int) *Index {
 // Columns returns how many column vectors the index covers.
 func (ix *Index) Columns() int { return len(ix.cols) }
 
-// Postings returns the total posting count across all lists.
-func (ix *Index) Postings() int { return ix.postings }
-
 // Bytes estimates the memory pinned by the index structure itself
 // (posting lists, bounds and headers), excluding the column vectors it
 // references, which the feature layer already accounts for.

@@ -157,7 +157,7 @@ func TestIndexStats(t *testing.T) {
 	if hr := s.HitRate(); hr < 0 || hr > 1 {
 		t.Fatalf("hit rate %v outside [0,1]", hr)
 	}
-	if s.Columns != len(cols) || s.Grams != d.Len() || s.Postings != ix.Postings() {
+	if s.Columns != len(cols) || s.Grams != d.Len() || s.Postings != ix.postings {
 		t.Fatalf("size stats inconsistent: %+v", s)
 	}
 	if s.Bytes <= 0 {

@@ -135,14 +135,6 @@ func GramSeq(s string, q int) iter.Seq[string] {
 // Trigrams.
 func TrigramSeq(s string) iter.Seq[string] { return GramSeq(s, 3) }
 
-// Words returns the folded string split into maximal runs of letters and
-// digits.
-func Words(s string) []string {
-	return strings.FieldsFunc(Fold(s), func(r rune) bool {
-		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
-	})
-}
-
 // Sparse token-frequency vectors are ID-keyed: see IDVector, built by
 // VectorBuilder against a Dict and compared with CosineIDs/JaccardIDs.
 // (The historical map[string]float64 Vector was removed when the

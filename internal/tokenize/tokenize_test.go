@@ -61,17 +61,6 @@ func TestQGramsCountProperty(t *testing.T) {
 	}
 }
 
-func TestWords(t *testing.T) {
-	got := Words("The Quick, Brown-Fox! 42")
-	want := []string{"the", "quick", "brown", "fox", "42"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Words = %v, want %v", got, want)
-	}
-	if got := Words("..."); len(got) != 0 {
-		t.Errorf("punctuation-only yields no words: %v", got)
-	}
-}
-
 func TestCosineIDsBasics(t *testing.T) {
 	d := NewDict()
 	vec := func(tokens ...string) *IDVector {
