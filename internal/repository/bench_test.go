@@ -37,16 +37,28 @@ func BenchmarkMatchAny(b *testing.B) {
 	if testing.Short() {
 		b.Skip("fleet fixture skipped in -short mode")
 	}
-	f := newTestFleet(b, 1)
+	benchFleetModes(b, newTestFleet(b, 1))
+}
+
+// benchFleetModes times each of benchModes answering aaron-1's source
+// over f, and reports beside the clock the fraction of catalogs the
+// mode pruned, so a run records the pruning efficacy with the cost.
+func benchFleetModes(b *testing.B, f *Fleet) {
 	src := sharedFleet(b).datasets["aaron-1"].Source
 	for _, mode := range benchModes {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
+			var prunedFrac float64
 			for i := 0; i < b.N; i++ {
-				if mode.run(b, f, src).Best() == nil {
+				rep := mode.run(b, f, src)
+				if rep.Best() == nil {
 					b.Fatal("no winner")
 				}
+				if rep.Considered > 0 {
+					prunedFrac = float64(rep.Pruned) / float64(rep.Considered)
+				}
 			}
+			b.ReportMetric(prunedFrac, "pruned-frac")
 		})
 	}
 }
@@ -104,31 +116,12 @@ func newTestFleet32(t testing.TB, workers int) *Fleet {
 
 // BenchmarkMatchAny32 is BenchmarkMatchAny at registry scale: the same
 // query over a 32-catalog fleet, where the fused bound pass prunes most
-// of the fleet without touching per-catalog postings. The pruned
-// fraction is reported as a metric so profile runs record the pruning
-// efficacy alongside the wall clock.
+// of the fleet without touching per-catalog postings.
 func BenchmarkMatchAny32(b *testing.B) {
 	if testing.Short() {
 		b.Skip("fleet fixture skipped in -short mode")
 	}
-	f := newTestFleet32(b, 1)
-	src := sharedFleet(b).datasets["aaron-1"].Source
-	for _, mode := range benchModes {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var prunedFrac float64
-			for i := 0; i < b.N; i++ {
-				rep := mode.run(b, f, src)
-				if rep.Best() == nil {
-					b.Fatal("no winner")
-				}
-				if rep.Considered > 0 {
-					prunedFrac = float64(rep.Pruned) / float64(rep.Considered)
-				}
-			}
-			b.ReportMetric(prunedFrac, "pruned-frac")
-		})
-	}
+	benchFleetModes(b, newTestFleet32(b, 1))
 }
 
 // BenchmarkFleetInstall measures the fleet's half of a PATCH: each

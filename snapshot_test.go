@@ -207,10 +207,7 @@ const writeAllocBudget = 36_866_034 / 4
 // Loading it from a file allocates within 64 KiB of loading it from
 // memory: both read into one buffer sized up front.
 func TestSnapshotCopyCounters(t *testing.T) {
-	ds := datagen.Inventory(datagen.InventoryConfig{
-		Rows: 120, TargetRows: 500, Gamma: 4, Target: datagen.Ryan, Seed: 1,
-		Scale: 10, ExtraAttrs: 4, NoDistractors: true,
-	})
+	ds := datagen.Inventory(inventory10k)
 	prepared, err := mustNew(t, ctxmatch.WithParallelism(1)).Prepare(context.Background(), ds.Target)
 	if err != nil {
 		t.Fatal(err)
