@@ -1,13 +1,12 @@
 // Package fault is a deterministic fault-injection harness.
 //
 // Production code declares named injection points (e.g. "fs.sync",
-// "fleet.match") and consults a *Registry at each one. Tests and the
-// chaos load generator install Plans — seeded, counted schedules such
-// as "fail the 3rd hit", "fail every 2nd hit with 10ms latency", or
-// "tear the write after 64 bytes" — and the instrumented code fails in
-// exactly the scripted places, every run. A nil *Registry is inert and
-// costs one nil check, so production binaries pay nothing when no
-// faults are configured.
+// "fleet.match") and consults a *Registry at each one. Tests install
+// Plans — seeded, counted schedules such as "fail the 3rd hit", "fail
+// every 2nd hit with 10ms latency", or "tear the write after 64 bytes"
+// — and the instrumented code fails in exactly the scripted places,
+// every run. A nil *Registry is inert and costs one nil check, so
+// production binaries pay nothing when no faults are configured.
 package fault
 
 import (
@@ -63,18 +62,14 @@ func (p Plan) err(point string) error {
 	return fmt.Errorf("%w at %s", ErrInjected, point)
 }
 
-// Registry maps injection points to Plans and counts hits. All
-// methods are safe for concurrent use and safe on a nil receiver
-// (where they do nothing and never fire).
+// Registry maps injection points to Plans and counts hits. The zero
+// value is an empty registry with no scheduled faults. All methods are
+// safe for concurrent use and safe on a nil receiver (where they do
+// nothing and never fire).
 type Registry struct {
 	mu    sync.Mutex
 	plans map[string]Plan
 	hits  map[string]int
-}
-
-// NewRegistry returns an empty registry with no scheduled faults.
-func NewRegistry() *Registry {
-	return &Registry{plans: map[string]Plan{}, hits: map[string]int{}}
 }
 
 // Set installs (or, with the zero Plan, clears the firing schedule
@@ -86,6 +81,9 @@ func (r *Registry) Set(point string, p Plan) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.plans == nil {
+		r.plans, r.hits = map[string]Plan{}, map[string]int{}
+	}
 	r.plans[point] = p
 }
 

@@ -26,7 +26,7 @@ func TestNilRegistryIsInert(t *testing.T) {
 }
 
 func TestFailNth(t *testing.T) {
-	r := NewRegistry()
+	r := new(Registry)
 	r.Set("p", Plan{FailNth: 3})
 	var outcomes []bool
 	for i := 0; i < 6; i++ {
@@ -44,7 +44,7 @@ func TestFailNth(t *testing.T) {
 }
 
 func TestFailEveryNth(t *testing.T) {
-	r := NewRegistry()
+	r := new(Registry)
 	r.Set("p", Plan{FailNth: 2, Every: true})
 	var fired int
 	for i := 0; i < 10; i++ {
@@ -59,7 +59,7 @@ func TestFailEveryNth(t *testing.T) {
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	run := func() []bool {
-		r := NewRegistry()
+		r := new(Registry)
 		r.Set("p", Plan{FailNth: 3, Every: true})
 		var out []bool
 		for i := 0; i < 12; i++ {
@@ -76,7 +76,12 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 }
 
 func TestCustomErrorAndClear(t *testing.T) {
-	r := NewRegistry()
+	r := new(Registry)
+	// The zero value is usable before its first Set.
+	r.Clear("p")
+	if err := r.Fail("p"); err != nil || r.Hits("p") != 0 {
+		t.Fatalf("empty registry: Fail = %v, Hits = %d", err, r.Hits("p"))
+	}
 	sentinel := errors.New("disk on fire")
 	r.Set("p", Plan{FailNth: 1, Every: true, Err: sentinel})
 	if err := r.Fail("p"); !errors.Is(err, sentinel) {
@@ -92,7 +97,7 @@ func TestCustomErrorAndClear(t *testing.T) {
 }
 
 func TestLatencyInjection(t *testing.T) {
-	r := NewRegistry()
+	r := new(Registry)
 	r.Set("p", Plan{Latency: 20 * time.Millisecond})
 	start := time.Now()
 	if err := r.Fail("p"); err != nil {
@@ -105,7 +110,7 @@ func TestLatencyInjection(t *testing.T) {
 
 func TestTornWriteThroughFS(t *testing.T) {
 	dir := t.TempDir()
-	r := NewRegistry()
+	r := new(Registry)
 	r.Set("fs.write", Plan{FailNth: 1, TornAfter: 4})
 	fs := Inject(OS{}, r)
 
@@ -138,7 +143,7 @@ func TestShortReadThroughFS(t *testing.T) {
 	if err := os.WriteFile(path, []byte("0123456789"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r := NewRegistry()
+	r := new(Registry)
 	r.Set("fs.read", Plan{FailNth: 1, ShortRead: 3, Err: io.ErrUnexpectedEOF})
 	fs := Inject(OS{}, r)
 
@@ -159,7 +164,7 @@ func TestShortReadThroughFS(t *testing.T) {
 
 func TestSyncAndDirFaults(t *testing.T) {
 	dir := t.TempDir()
-	r := NewRegistry()
+	r := new(Registry)
 	r.Set("fs.sync", Plan{FailNth: 1, Every: true})
 	r.Set("fs.syncdir", Plan{FailNth: 1, Every: true})
 	fs := Inject(OS{}, r)

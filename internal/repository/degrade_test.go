@@ -67,7 +67,7 @@ func TestDegradedBitIdentical(t *testing.T) {
 			fullByName[cm.Name] = resultJSON(t, cm.Result)
 		}
 
-		reg := fault.NewRegistry()
+		reg := new(fault.Registry)
 		reg.Set("fleet.match", fault.Plan{FailNth: 2})
 		f.InjectFaults(reg)
 
@@ -111,7 +111,7 @@ func TestFaultScheduleDeterminism(t *testing.T) {
 	src := sharedFleet(t).datasets["ryan-1"].Source
 	run := func(b int) []SkippedCatalog {
 		f := newTestFleet(t, b)
-		reg := fault.NewRegistry()
+		reg := new(fault.Registry)
 		reg.Set("fleet.match", fault.Plan{FailNth: 2, Every: true})
 		f.InjectFaults(reg)
 		rep, err := f.MatchAny(context.Background(), src, Query{K: 4})
@@ -172,7 +172,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	f := newTestFleet(t, 1)
 	f.SetBreaker(BreakerConfig{Threshold: 2, Cooldown: 50 * time.Millisecond})
 	src := sharedFleet(t).datasets["aaron-1"].Source
-	reg := fault.NewRegistry()
+	reg := new(fault.Registry)
 	reg.Set("fleet.match", fault.Plan{FailNth: 1, Every: true})
 	f.InjectFaults(reg)
 
@@ -369,7 +369,7 @@ func TestRemovedBreakerStateStaysRemoved(t *testing.T) {
 		}
 		name := first.Best().Name
 
-		reg := fault.NewRegistry()
+		reg := new(fault.Registry)
 		reg.Set("fleet.match", fault.Plan{FailNth: 1, Latency: 200 * time.Millisecond})
 		f.InjectFaults(reg)
 		done := make(chan *Report, 1)
@@ -432,7 +432,7 @@ func TestErrorsDoNotAbortSiblings(t *testing.T) {
 	skips := map[int][]SkippedCatalog{}
 	for _, b := range budgets {
 		f := newTestFleet(t, b)
-		reg := fault.NewRegistry()
+		reg := new(fault.Registry)
 		reg.Set("fleet.match", fault.Plan{FailNth: 1, Err: sentinel})
 		f.InjectFaults(reg)
 

@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -10,6 +12,8 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,21 +25,37 @@ import (
 // GET /metrics.
 func scrapeMetric(t *testing.T, ts *httptest.Server, name string) float64 {
 	t.Helper()
-	resp, body := doJSON(t, http.MethodGet, ts.URL+"/metrics", nil)
+	v, err := fetchMetric(ts, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// fetchMetric is scrapeMetric for goroutines other than the test's.
+func fetchMetric(ts *httptest.Server, name string) (float64, error) {
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		return 0, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return 0, err
+	}
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /metrics = %d", resp.StatusCode)
+		return 0, fmt.Errorf("GET /metrics = %d", resp.StatusCode)
 	}
 	for _, line := range strings.Split(string(body), "\n") {
 		if rest, ok := strings.CutPrefix(line, name+" "); ok {
 			v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
 			if err != nil {
-				t.Fatalf("parsing metric %s: %v", name, err)
+				return 0, fmt.Errorf("parsing metric %s: %w", name, err)
 			}
-			return v
+			return v, nil
 		}
 	}
-	t.Fatalf("metric %s not exposed", name)
-	return 0
+	return 0, fmt.Errorf("metric %s not exposed", name)
 }
 
 // TestTornWritePreservesOldSnapshot is the crash-safety satellite: a
@@ -47,7 +67,7 @@ func scrapeMetric(t *testing.T, ts *httptest.Server, name string) float64 {
 // file.
 func TestTornWritePreservesOldSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	reg := fault.NewRegistry()
+	reg := new(fault.Registry)
 	ts, svc := newTestServer(t, func(c *Config) {
 		c.SnapshotDir = dir
 		c.Faults = reg
@@ -156,7 +176,7 @@ func patchWithSlowSync(t *testing.T, ts *httptest.Server, reg *fault.Registry, d
 // drain-time flush nor a restart can fall back to the older rows.
 func TestOverlappingPersistsKeepNewest(t *testing.T) {
 	dir := t.TempDir()
-	reg := fault.NewRegistry()
+	reg := new(fault.Registry)
 	ts, svc := newTestServer(t, func(c *Config) {
 		c.SnapshotDir = dir
 		c.Faults = reg
@@ -205,7 +225,7 @@ func TestOverlappingPersistsKeepNewest(t *testing.T) {
 // or a restart would bring the deleted catalog back.
 func TestDeleteDuringPersist(t *testing.T) {
 	dir := t.TempDir()
-	reg := fault.NewRegistry()
+	reg := new(fault.Registry)
 	ts, _ := newTestServer(t, func(c *Config) {
 		c.SnapshotDir = dir
 		c.Faults = reg
@@ -334,7 +354,7 @@ func TestShortReadQuarantines(t *testing.T) {
 	}
 	path := snapshotPath(dir, "inv")
 
-	reg := fault.NewRegistry()
+	reg := new(fault.Registry)
 	reg.Set("fs.read", fault.Plan{FailNth: 1, ShortRead: 100})
 	_, svc := newTestServer(t, func(c *Config) {
 		c.SnapshotDir = dir
@@ -430,7 +450,7 @@ func wireResultJSON(t *testing.T, res *ctxmatch.Result) string {
 // listed with a reason, and every completed catalog's result
 // bit-identical to the fault-free response — never a 5xx.
 func TestMatchAnyDegradedOverHTTP(t *testing.T) {
-	reg := fault.NewRegistry()
+	reg := new(fault.Registry)
 	ts, _ := newTestServer(t, func(c *Config) { c.Faults = reg })
 	src := putFleet(t, ts, 3)
 
@@ -476,12 +496,108 @@ func TestMatchAnyDegradedOverHTTP(t *testing.T) {
 	}
 }
 
+// TestDegradedAccountingUnderLoad drives concurrent /match and
+// /match-any traffic while every third per-catalog fleet match fails.
+// Every request must answer 200, since a degraded match-any is still an
+// answer, and some match-any responses must come back degraded.
+// ctxmatchd_degraded_total must never fall while the load runs, and
+// once it ends must equal the degraded responses the clients saw: the
+// handler counts a degraded report before it writes the response.
+func TestDegradedAccountingUnderLoad(t *testing.T) {
+	reg := new(fault.Registry)
+	ts, _ := newTestServer(t, func(c *Config) { c.Faults = reg })
+	src := putFleet(t, ts, 3)
+	reg.Set("fleet.match", fault.Plan{FailNth: 3, Every: true, Latency: 2 * time.Millisecond})
+
+	matchURL, anyURL := ts.URL+"/v1/catalogs/fleet0/match", ts.URL+"/v1/match-any"
+	matchBody, err := json.Marshal(matchRequest{Source: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	anyBody, err := json.Marshal(MatchAnyRequest{Source: src, K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The sampler watches the counter until the clients are done.
+	stop, samples := make(chan struct{}), make(chan int)
+	go func() {
+		last, n := 0.0, 0
+		tick := time.NewTicker(5 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				samples <- n
+				return
+			case <-tick.C:
+			}
+			v, err := fetchMetric(ts, "ctxmatchd_degraded_total")
+			if err != nil {
+				t.Error(err)
+				continue
+			}
+			if v < last {
+				t.Errorf("ctxmatchd_degraded_total fell from %v to %v during the load", last, v)
+			}
+			last, n = v, n+1
+		}
+	}()
+
+	const clients, requestsPer = 4, 6
+	var degraded atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < requestsPer; i++ {
+				url, body := matchURL, matchBody
+				if (c+i)%2 == 1 {
+					url, body = anyURL, anyBody
+				}
+				resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					continue
+				}
+				out, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Errorf("POST %s = %d, %v: %s", url, resp.StatusCode, err, out)
+					continue
+				}
+				var rep MatchAnyResponse
+				if url == anyURL {
+					if err := json.Unmarshal(out, &rep); err != nil {
+						t.Errorf("decoding match-any response: %v", err)
+					}
+				}
+				if rep.Degraded {
+					degraded.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	if n := <-samples; n == 0 {
+		t.Error("the load ended before ctxmatchd_degraded_total was sampled")
+	}
+	if degraded.Load() == 0 {
+		t.Fatal("no match-any response came back degraded; the fault schedule never fired")
+	}
+	if got := scrapeMetric(t, ts, "ctxmatchd_degraded_total"); got != float64(degraded.Load()) {
+		t.Errorf("ctxmatchd_degraded_total = %v, clients saw %d degraded responses", got, degraded.Load())
+	}
+}
+
 // TestBreakerOverHTTP: repeated per-catalog failures open the circuit
 // breaker; further requests skip the catalog without attempting the
 // match, the skip reason says so, and the ctxmatchd_breaker_open gauge
 // reports it.
 func TestBreakerOverHTTP(t *testing.T) {
-	reg := fault.NewRegistry()
+	reg := new(fault.Registry)
 	ts, _ := newTestServer(t, func(c *Config) {
 		c.Faults = reg
 		c.BreakerThreshold = 2
